@@ -39,6 +39,7 @@ from .errors import (
     NotPositiveSemidefiniteError,
     OutcomeCountMismatchError,
     SchemaError,
+    SolverError,
     TuningRequiredError,
     UnsupportedDimensionError,
 )

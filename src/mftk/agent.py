@@ -132,6 +132,12 @@ def final_measurements(case: str, mode: str, x_set, z_set, tol: float = LP_ATOL)
     found = classify_extension(x_set, z_set, tol)
     if found != case:
         raise ValueError(f"sets classify as {found!r}, not {case!r}")
+    return _final_set(case, mode, x_set, z_set)
+
+
+def _final_set(case: str, mode: str, x_set, z_set):
+    """The (final set, comparison) of ``final_measurements`` for an
+    already classified pair of sets."""
     if case == "downgrade":
         if mode == "exclusive":
             return tuple(z_set), "<"
@@ -238,7 +244,7 @@ def incorporate(
     x_set = list(agent.direct.values())
     z_set = [z for _, z in z_named]
     case = classify_extension(x_set, z_set, tol)
-    final_set, comparison = final_measurements(case, mode, x_set, z_set, tol)
+    final_set, comparison = _final_set(case, mode, x_set, z_set)
     label = final_label(case, mode)
 
     if mode == "exclusive":

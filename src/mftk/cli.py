@@ -39,7 +39,6 @@ CHECK_TOL = 1e-9
 class CliConfig:
     tol: float = GENERAL_TOL
     seed: int = 0
-    output: str = "human"
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -635,7 +634,6 @@ def main(argv=None) -> int:
     config = CliConfig(
         tol=args.tol if args.tol is not None else GENERAL_TOL,
         seed=args.seed,
-        output="json" if args.json else "human",
     )
     try:
         return args.func(args, config)

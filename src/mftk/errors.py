@@ -33,6 +33,20 @@ class TuningRequiredError(ValueError):
     """Incorporation was attempted without a valid tuning certificate."""
 
 
+class SolverError(ValueError):
+    """A numerical solver returned without success.
+
+    Carries the solver's status code and message, so a numerical failure
+    is reported as such instead of being read as a verdict.
+    """
+
+    def __init__(self, solver, status, message):
+        self.solver = str(solver)
+        self.status = status
+        self.message = str(message)
+        super().__init__(f"{self.solver} failed (status {status}): {self.message}")
+
+
 class SchemaError(ValueError):
     """A JSON file does not conform to its expected schema.
 

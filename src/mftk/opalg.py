@@ -8,6 +8,7 @@ everything is dense and direct.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,6 @@ from .errors import DimensionMismatchError, NonHermitianError, NotPositiveSemide
 
 HERMITIAN_ATOL = 1e-10
 PSD_EIGENVALUE_FLOOR = -1e-8
-PSD_CLAMP = -1e-10
 
 
 def freeze(m: np.ndarray) -> np.ndarray:
@@ -36,8 +36,19 @@ def as_matrix(m) -> np.ndarray:
     return out
 
 
+def as_matrix_stack(m) -> np.ndarray:
+    """Coerce to a finite complex array of square matrices, shape (..., n, n)."""
+    out = np.asarray(m, dtype=complex)
+    if out.ndim < 2 or out.shape[-1] != out.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix has non-finite entries")
+    return out
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of each matrix in a (..., n, n) stack."""
+    return np.conj(np.asarray(m)).swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
@@ -46,7 +57,7 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Symmetrize away round-off: (m + m†)/2."""
+    """Symmetrize away round-off: (m + m†)/2, matrix by matrix on a stack."""
     m = np.asarray(m, dtype=complex)
     return (m + dagger(m)) / 2
 
@@ -107,10 +118,14 @@ def psd_sqrt(h) -> np.ndarray:
 
 
 def psd_clip(h) -> np.ndarray:
-    """Project a Hermitian matrix onto the PSD cone (clip negative eigenvalues)."""
-    eigenvalues, v = hermitian_eigensystem(hermitize(h), atol=np.inf)
+    """Project Hermitian matrices onto the PSD cone (clip negative eigenvalues).
+
+    Takes one matrix or a (..., n, n) stack, which is diagonalized in a
+    single batched ``eigh`` call.
+    """
+    eigenvalues, v = np.linalg.eigh(hermitize(as_matrix_stack(h)))
     clipped = np.clip(eigenvalues, 0.0, None)
-    return hermitize((v * clipped) @ dagger(v))
+    return hermitize((v * clipped[..., None, :]) @ dagger(v))
 
 
 @dataclass(frozen=True)
@@ -119,24 +134,37 @@ class HermitianBasis:
 
     Orthonormality is with respect to the trace inner product
     Tr(A B), so any Hermitian h satisfies h = sum_k Tr(B_k h) B_k with
-    real coefficients.
+    real coefficients. Both directions act on stacks: ``coords`` maps
+    (..., d, d) to (..., d^2) and ``matrix`` maps back, each as one
+    product with the same complex (d^2, d^2) transform.
     """
 
     dim: int
     elements: tuple[np.ndarray, ...]
 
+    @functools.cached_property
+    def _transform(self) -> np.ndarray:
+        """Row k is the flattened element B_k; built on first use."""
+        return np.stack(self.elements).reshape(len(self.elements), -1)
+
     def coords(self, h) -> np.ndarray:
-        """Real coefficient vector of a Hermitian matrix in this basis."""
-        h = as_matrix(h)
-        return np.array([np.trace(b @ h).real for b in self.elements])
+        """Real coefficients of one Hermitian matrix or of a (..., d, d) stack."""
+        h = as_matrix_stack(h)
+        d = self.dim
+        if h.shape[-1] != d:
+            raise DimensionMismatchError(f"matrices are {h.shape[-2:]}, basis is {d} x {d}")
+        # Tr(B_k h) = sum_ij conj(B_k)_ij h_ij, since every B_k is Hermitian.
+        return (h.reshape(*h.shape[:-2], d * d) @ self._transform.conj().T).real
 
     def matrix(self, coords) -> np.ndarray:
-        """Reassemble a Hermitian matrix from real coefficients."""
+        """Reassemble Hermitian matrices from real coefficients of shape (..., d^2)."""
         coords = np.asarray(coords, dtype=float)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, b in zip(coords, self.elements):
-            out += c * b
-        return out
+        d = self.dim
+        if coords.ndim < 1 or coords.shape[-1] != d * d:
+            raise DimensionMismatchError(
+                f"coordinates have shape {coords.shape}, need (..., {d * d})"
+            )
+        return (coords @ self._transform).reshape(*coords.shape[:-1], d, d)
 
 
 def hermitian_basis(dim: int) -> HermitianBasis:

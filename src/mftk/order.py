@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import opalg
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SolverError
 from .measure import (
     DensityMatrix,
     OutcomeDistribution,
@@ -54,13 +54,15 @@ def povm_geq(z: Povm, x: Povm, tol: float = LP_ATOL) -> GeqResult:
     coordinatewise in the Hermitian-basis expansion, with lambda
     column-stochastic. The relation holds when the recovered witness
     reproduces x entrywise within ``tol``; the witness is returned so
-    callers can re-verify it.
+    callers can re-verify it. The LP is always feasible and bounded, so
+    a solver that stops without success raises ``SolverError`` rather
+    than answering either way.
     """
     if z.dim != x.dim:
         raise DimensionMismatchError(f"dims differ: {z.dim} vs {x.dim}")
     basis = opalg.hermitian_basis(z.dim)
-    z_coords = np.stack([basis.coords(e.matrix) for e in z.effects])  # (nz, D)
-    x_coords = np.stack([basis.coords(e.matrix) for e in x.effects])  # (nx, D)
+    z_coords = basis.coords(z.matrices())  # (nz, D)
+    x_coords = basis.coords(x.matrices())  # (nx, D)
     nz, nx, ncoord = z.n_outcomes, x.n_outcomes, z_coords.shape[1]
     nvar = nx * nz + 1  # lambda entries (x-major) plus the slack t
 
@@ -91,7 +93,7 @@ def povm_geq(z: Povm, x: Povm, tol: float = LP_ATOL) -> GeqResult:
         method="highs",
     )
     if not result.success:
-        return GeqResult(holds=False, witness=None, residual=np.inf)
+        raise SolverError("linprog", result.status, result.message)
     lam = np.clip(result.x[: nx * nz].reshape(nx, nz), 0.0, None)
     lam = lam / lam.sum(axis=0, keepdims=True)
     witness = StochasticMatrix(n_in=nz, n_out=nx, entries=lam)

@@ -301,60 +301,73 @@ class DiscoveryResult:
 
 
 def _random_model(d, n_prep, counts, rng):
-    states = []
-    for _ in range(n_prep):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = g @ opalg.dagger(g)
-        states.append(m / np.trace(m).real)
-    povms = []
+    """Random full-rank start: an (n_prep, d, d) state stack and one
+    (n_k, d, d) effect stack per measurement.
+
+    Every matrix is G G^dag for a complex Gaussian G, drawn as its real
+    then its imaginary d x d part, states first and then each effect set
+    in order.
+    """
+
+    def grams(n):
+        g = rng.standard_normal((n, 2, d, d))
+        g = g[:, 0] + 1j * g[:, 1]
+        return g @ opalg.dagger(g)
+
+    m = grams(n_prep)
+    states = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    effect_sets = []
     for n in counts:
-        blocks = []
-        for _ in range(n):
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            blocks.append(g @ opalg.dagger(g))
-        total = sum(blocks)
-        w, v = np.linalg.eigh(total)
+        blocks = grams(n)
+        w, v = np.linalg.eigh(blocks.sum(axis=0))
         inv_root = (v / np.sqrt(w)) @ opalg.dagger(v)
-        povms.append([opalg.hermitize(inv_root @ b @ inv_root) for b in blocks])
-    return states, povms
+        effect_sets.append(opalg.hermitize(inv_root @ blocks @ inv_root))
+    return states, effect_sets
 
 
-def _project_state(m):
-    w, v = np.linalg.eigh(opalg.hermitize(m))
-    w = np.clip(w, 0.0, None)
-    if w.sum() <= 0:
-        return np.eye(m.shape[0], dtype=complex) / m.shape[0]
-    out = (v * w) @ opalg.dagger(v)
-    return opalg.hermitize(out / np.trace(out).real)
+def _project_states(m):
+    """PSD-clip each matrix in a stack and renormalize its trace; a matrix
+    with nothing positive left becomes maximally mixed."""
+    d = m.shape[-1]
+    out = opalg.psd_clip(m)
+    traces = np.trace(out, axis1=-2, axis2=-1).real
+    empty = traces <= 0
+    out = out / np.where(empty, 1.0, traces)[..., None, None]
+    out[empty] = np.eye(d) / d
+    return out
 
 
 def _project_effects(effects):
-    d = effects[0].shape[0]
-    effects = [opalg.psd_clip(e) for e in effects]
-    excess = (sum(effects) - np.eye(d)) / len(effects)
-    return [opalg.psd_clip(e - excess) for e in effects]
+    """PSD-clip an (n, d, d) effect stack, spread its completeness excess
+    evenly over the n effects, and clip again."""
+    d = effects.shape[-1]
+    effects = opalg.psd_clip(effects)
+    excess = (effects.sum(axis=0) - np.eye(d)) / len(effects)
+    return opalg.psd_clip(effects - excess)
 
 
-def _repair_model(d, states, effect_sets, labels):
-    """Round a raw iterate to an exactly valid model, or return None."""
+def _repair_model(table, d, states, effect_sets):
+    """Round a raw iterate to an exactly valid model.
+
+    Returns (table residual, states, povms), or None when the iterate
+    cannot be rounded.
+    """
     try:
-        fixed_states = tuple(DensityMatrix(dim=d, matrix=_project_state(m)) for m in states)
+        fixed_states = tuple(DensityMatrix(dim=d, matrix=m) for m in _project_states(states))
     except ValueError:
         return None
     povms = []
-    for label, effects in zip(labels, effect_sets):
-        effects = [opalg.psd_clip(e) for e in effects]
-        total = opalg.hermitize(sum(effects))
-        w, v = np.linalg.eigh(total)
+    for effects in effect_sets:
+        effects = opalg.psd_clip(effects)
+        w, v = np.linalg.eigh(opalg.hermitize(effects.sum(axis=0)))
         if w[0] < 1e-12:
             return None
         inv_root = (v / np.sqrt(w)) @ opalg.dagger(v)
-        mats = [opalg.hermitize(inv_root @ e @ inv_root) for e in effects]
-        povm = Povm.from_matrices(d, mats)
+        povm = Povm.from_matrices(d, opalg.hermitize(inv_root @ effects @ inv_root))
         if not validate_povm(povm).ok:
             return None
         povms.append(povm)
-    return fixed_states, tuple(povms)
+    return _model_residual(table, fixed_states, povms), fixed_states, tuple(povms)
 
 
 def _model_residual(table, states, povms):
@@ -366,70 +379,84 @@ def _model_residual(table, states, povms):
     return worst
 
 
-def _polish_model(d, states, effect_sets, q_arrays, counts):
+def _polish_unpack(xs, d, n_prep, counts):
+    """Models at a batch of polish parameter vectors, shape (..., P).
+
+    The vector holds the real and imaginary parts of one d x d factor G
+    per matrix. Returns the (..., n_prep, d, d) states G G^dag / tr and,
+    per measurement, the (..., n_k, d, d) effects S^{-1/2} G G^dag S^{-1/2},
+    where S is the sum of the measurement's Gram blocks.
+    """
+    half = xs.reshape(*xs.shape[:-1], -1, 2, d, d)
+    gs = half[..., 0, :, :] + 1j * half[..., 1, :, :]
+    grams = gs @ opalg.dagger(gs)
+    rhos = grams[..., :n_prep, :, :]
+    traces = np.clip(np.trace(rhos, axis1=-2, axis2=-1).real, 1e-300, None)
+    states = rhos / traces[..., None, None]
+    effect_sets = []
+    at = n_prep
+    for n in counts:
+        block = grams[..., at:at + n, :, :]
+        at += n
+        w, v = np.linalg.eigh(opalg.hermitize(block.sum(axis=-3)))
+        inv_root = (v / np.sqrt(np.clip(w, 1e-300, None))[..., None, :]) @ opalg.dagger(v)
+        inv_root = inv_root[..., None, :, :]
+        effect_sets.append(inv_root @ block @ inv_root)
+    return states, effect_sets
+
+
+def _polish_residuals(xs, d, n_prep, counts, q_arrays):
+    """Predicted minus tabulated probabilities at a batch of parameter
+    vectors: shape (..., R), measurement by measurement, each row-major
+    over (preparation, outcome)."""
+    states, effect_sets = _polish_unpack(xs, d, n_prep, counts)
+    s = states.reshape(*states.shape[:-2], d * d).conj()
+    parts = []
+    for effects, q in zip(effect_sets, q_arrays):
+        e = effects.reshape(*effects.shape[:-2], d * d)
+        probs = (s @ np.swapaxes(e, -1, -2)).real
+        parts.append((probs - q).reshape(*xs.shape[:-1], -1))
+    return np.concatenate(parts, axis=-1)
+
+
+def _polish_jacobian(x, d, n_prep, counts, q_arrays):
+    """2-point finite-difference Jacobian of ``_polish_residuals`` at x, shape (R, P).
+
+    Same steps as scipy's '2-point' scheme, h_i = sqrt(eps) sign(x_i)
+    max(1, |x_i|), but x and all P perturbed points are evaluated in one
+    batched call.
+    """
+    sign = np.where(x >= 0, 1.0, -1.0)
+    h = np.sqrt(np.finfo(float).eps) * sign * np.maximum(1.0, np.abs(x))
+    f = _polish_residuals(np.vstack([x, x + np.diag(h)]), d, n_prep, counts, q_arrays)
+    return (f[1:] - f[0]).T / ((x + h) - x)
+
+
+def _polish_model(d, states, effect_sets, q_arrays):
     """Local least-squares refinement of a near-feasible iterate.
 
     The alternating stage slows to a crawl when the solution sits on the
     boundary of the PSD cone (pure states, projective effects), so finish
     with a factorized parametrization where every iterate is exactly a
     valid model: states as G G^dag / tr, effect sets as S^{-1/2}-normalized
-    Gram blocks. On that parametrization the residuals are smooth and an
-    off-the-shelf trust-region least-squares run converges locally fast.
+    Gram blocks. On that parametrization the residuals are smooth and a
+    trust-region least-squares run converges locally fast. Takes and
+    returns an (n_prep, d, d) state stack and one (n_k, d, d) stack per
+    measurement. ``least_squares`` gets ``_polish_jacobian`` as ``jac``,
+    which evaluates every finite-difference point in one batch.
     """
     n_prep = len(states)
-
-    def factor(m):
-        w, v = np.linalg.eigh(opalg.hermitize(m))
-        return v * np.sqrt(np.clip(w, 0.0, None))
-
-    def pack():
-        parts = []
-        for rho in states:
-            a = factor(rho)
-            parts += [a.real.ravel(), a.imag.ravel()]
-        for effects in effect_sets:
-            for e in effects:
-                b = factor(e)
-                parts += [b.real.ravel(), b.imag.ravel()]
-        return np.concatenate(parts)
-
-    def factors_from(xvec):
-        half = xvec.reshape(-1, 2, d, d)
-        return half[:, 0] + 1j * half[:, 1]
-
-    def unpack(xvec):
-        gs = factors_from(xvec)
-        grams = np.einsum("nij,nkj->nik", gs, gs.conj())
-        rhos = grams[:n_prep]
-        traces = np.clip(np.trace(rhos, axis1=1, axis2=2).real, 1e-300, None)
-        out_states = list(rhos / traces[:, None, None])
-        out_effects = []
-        at = n_prep
-        for n in counts:
-            block = grams[at:at + n]
-            at += n
-            total = opalg.hermitize(block.sum(axis=0))
-            w, v = np.linalg.eigh(total)
-            inv_root = (v / np.sqrt(np.clip(w, 1e-300, None))) @ opalg.dagger(v)
-            out_effects.append(list(inv_root @ block @ inv_root))
-        return out_states, out_effects
-
-    def residuals(xvec):
-        sts, effs = unpack(xvec)
-        s = np.stack(sts).reshape(n_prep, -1).conj()
-        parts = [
-            ((s @ np.stack(effects).reshape(len(effects), -1).T).real - q_arrays[k]).ravel()
-            for k, effects in enumerate(effs)
-        ]
-        return np.concatenate(parts)
-
+    counts = tuple(len(effects) for effects in effect_sets)
+    w, v = np.linalg.eigh(opalg.hermitize(np.concatenate([states, *effect_sets])))
+    factors = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    args = (d, n_prep, counts, q_arrays)
     sol = scipy.optimize.least_squares(
-        residuals, pack(), method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-12,
+        _polish_residuals, np.stack([factors.real, factors.imag], axis=1).ravel(),
+        jac=_polish_jacobian, args=args, method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-12,
         max_nfev=3000,
     )
-    out_states, out_effects = unpack(sol.x)
-    return ([opalg.hermitize(m) for m in out_states],
-            [[opalg.hermitize(e) for e in effects] for effects in out_effects])
+    out_states, out_effects = _polish_unpack(sol.x, d, n_prep, counts)
+    return opalg.hermitize(out_states), [opalg.hermitize(e) for e in out_effects]
 
 
 def discover_system(
@@ -446,81 +473,75 @@ def discover_system(
     Alternating projected-gradient descent on the squared residual: with
     measurements fixed the objective is quadratic in each state, and an
     exact line search along the gradient is available; likewise for the
-    effects with states fixed. States are projected back to the PSD
-    unit-trace set by eigenvalue clipping and trace renormalization;
-    effects by PSD clipping followed by spreading the completeness
-    excess evenly. A candidate is only reported feasible after being
-    rounded to an exactly valid model that still reproduces every table
-    entry within ``tol``, so feasible verdicts are sound by
-    construction; infeasible verdicts only mean no restart converged.
+    effects with states fixed. The iterate lives in Hermitian-basis
+    coordinates: one (n_prep, d^2) array for the states, one (n_k, d^2)
+    array per measurement, so all states take their line-search steps
+    together. States are projected back to the PSD unit-trace set by
+    eigenvalue clipping and trace renormalization; effects by PSD
+    clipping followed by spreading the completeness excess evenly; each
+    projection is one batched eigendecomposition. Iterates that come
+    within 1e-2 of the table are finished by ``_polish_model``. A
+    candidate is only reported feasible after being rounded to an
+    exactly valid model that still reproduces every table entry within
+    ``tol``, so feasible verdicts are sound by construction; infeasible
+    verdicts only mean no restart converged.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     counts = table.outcome_counts()
     q_arrays = table.as_arrays()
+    q_rows = np.hstack(q_arrays)  # row m: every table entry of preparation m
     basis = opalg.hermitian_basis(d)
-    n_basis = len(basis.elements)
     n_prep = table.n_preparations
 
-    best = None  # (residual, restart_index, states, povms)
+    best = None  # (residual, states, povms)
     for restart in range(max(1, restarts)):
         rng = np.random.default_rng([seed, restart])
         states, effect_sets = _random_model(d, n_prep, counts, rng)
+        x = basis.coords(states)
+        ys = [basis.coords(effects) for effects in effect_sets]
         prev_obj = np.inf
         raw_worst = np.inf
         stall = 0
         for it in range(max_iters):
-            # Fit states against fixed effects. Rows of A are effect
-            # coordinates, so A @ x are the predicted probabilities.
-            a_rows = np.vstack([
-                np.stack([basis.coords(e) for e in effects]) for effects in effect_sets
-            ])
-            for m in range(n_prep):
-                b = np.concatenate([q_arrays[k][m] for k in range(len(counts))])
-                x = basis.coords(states[m])
-                for _ in range(2):
-                    resid = a_rows @ x - b
-                    grad = a_rows.T @ resid
-                    step_dir = a_rows @ grad
-                    denom = float(step_dir @ step_dir)
-                    if denom <= 0:
-                        break
-                    x = x - (float(resid @ step_dir) / denom) * grad
-                    x = basis.coords(_project_state(basis.matrix(x)))
-                states[m] = basis.matrix(x)
+            # Fit all states against fixed effects. Rows of A are effect
+            # coordinates, so x @ A.T are the predicted probabilities. A
+            # state whose step direction vanishes takes no further step.
+            a_rows = np.vstack(ys)
+            active = np.ones(n_prep, dtype=bool)
+            for _ in range(2):
+                resid = x @ a_rows.T - q_rows
+                grad = resid @ a_rows
+                step_dir = grad @ a_rows.T
+                denom = np.sum(step_dir * step_dir, axis=1)
+                active &= denom > 0
+                if not active.any():
+                    break
+                step = np.sum(resid * step_dir, axis=1)[active] / denom[active]
+                moved = x[active] - step[:, None] * grad[active]
+                x[active] = basis.coords(_project_states(basis.matrix(moved)))
 
             # Fit each measurement against fixed states.
-            s_coords = np.stack([basis.coords(rho) for rho in states])
-            for k, effects in enumerate(effect_sets):
-                y = np.stack([basis.coords(e) for e in effects])
+            for k, y in enumerate(ys):
                 for _ in range(2):
-                    resid = s_coords @ y.T - q_arrays[k]  # (m, j)
-                    grad = resid.T @ s_coords  # (j, n_basis)
-                    dq = s_coords @ grad.T
+                    resid = x @ y.T - q_arrays[k]  # (m, j)
+                    grad = resid.T @ x  # (j, n_basis)
+                    dq = x @ grad.T
                     denom = float(np.sum(dq * dq))
                     if denom <= 0:
                         break
                     y = y - (float(np.sum(resid * dq)) / denom) * grad
-                    projected = _project_effects([basis.matrix(row) for row in y])
-                    y = np.stack([basis.coords(e) for e in projected])
-                effect_sets[k] = [basis.matrix(row) for row in y]
+                    y = basis.coords(_project_effects(basis.matrix(y)))
+                ys[k] = y
 
-            obj = 0.0
-            raw_worst = 0.0
-            s_coords = np.stack([basis.coords(rho) for rho in states])
-            for k, effects in enumerate(effect_sets):
-                y = np.stack([basis.coords(e) for e in effects])
-                resid = s_coords @ y.T - q_arrays[k]
-                obj += float(np.sum(resid * resid))
-                raw_worst = max(raw_worst, float(np.max(np.abs(resid))))
+            resids = [x @ y.T - q for y, q in zip(ys, q_arrays)]
+            obj = sum(float(np.sum(r * r)) for r in resids)
+            raw_worst = max(float(np.max(np.abs(r))) for r in resids)
 
             if raw_worst < tol and (it % 5 == 0 or prev_obj - obj < 1e-14):
-                repaired = _repair_model(d, states, effect_sets, table.measurement_labels)
-                if repaired is not None:
-                    resid = _model_residual(table, *repaired)
-                    if resid <= tol:
-                        return DiscoveryResult(True, repaired[0], repaired[1],
-                                               resid, restart + 1)
+                found = _repair_model(table, d, basis.matrix(x), [basis.matrix(y) for y in ys])
+                if found is not None and found[0] <= tol:
+                    return DiscoveryResult(True, found[1], found[2], found[0], restart + 1)
             if raw_worst < 1e-2 and it >= 25:
                 break  # hand over to the terminal refinement below
             if prev_obj - obj < 1e-14 + 1e-9 * obj:
@@ -531,17 +552,17 @@ def discover_system(
                 stall = 0
             prev_obj = obj
 
+        states, effect_sets = basis.matrix(x), [basis.matrix(y) for y in ys]
         if raw_worst < 1e-2:
             # Close enough that terminal refinement is worth the call.
-            states, effect_sets = _polish_model(d, states, effect_sets, q_arrays, counts)
-        repaired = _repair_model(d, states, effect_sets, table.measurement_labels)
-        if repaired is not None:
-            resid = _model_residual(table, *repaired)
-            if resid <= tol:
-                return DiscoveryResult(True, repaired[0], repaired[1], resid, restart + 1)
-            if best is None or resid < best[0]:
-                best = (resid, restart, repaired[0], repaired[1])
+            states, effect_sets = _polish_model(d, states, effect_sets, q_arrays)
+        found = _repair_model(table, d, states, effect_sets)
+        if found is not None:
+            if found[0] <= tol:
+                return DiscoveryResult(True, found[1], found[2], found[0], restart + 1)
+            if best is None or found[0] < best[0]:
+                best = found
 
     if best is None:
         return DiscoveryResult(False, (), (), np.inf, max(1, restarts))
-    return DiscoveryResult(False, best[2], best[3], best[0], max(1, restarts))
+    return DiscoveryResult(False, best[1], best[2], best[0], max(1, restarts))

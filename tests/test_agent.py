@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mftk.order
+
 from mftk import (
     AgentState,
     ExternalSystem,
@@ -156,6 +158,22 @@ def test_incorporate_moves_measurements_across_boundary():
     # The original agent value is untouched.
     assert set(agent.direct) == {"z"}
     assert "probe" in agent.external
+
+
+def test_incorporate_classifies_once(monkeypatch):
+    calls = []
+    povm_geq = mftk.order.povm_geq
+
+    def counting_geq(*args, **kwargs):
+        calls.append(args)
+        return povm_geq(*args, **kwargs)
+
+    monkeypatch.setattr(mftk.order, "povm_geq", counting_geq)
+    agent, cert = _agent_with_external({"z": Z}, [X])
+    _, report = incorporate(agent, "probe", cert, "inclusive")
+    assert report.case == "innovation"
+    # One LP per direction of the 1-vs-1 set comparison, none repeated.
+    assert len(calls) == 2
 
 
 def test_incorporate_exclusive_replaces():

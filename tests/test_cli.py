@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
+
+import mftk.order
 
 from mftk import (
     ProbabilityTable,
@@ -169,6 +172,20 @@ def test_compare_incomparable(tmp_path, capsys):
     out = _json_out(capsys)
     assert out["relation"] == "incomparable"
     assert out["witness_forward"] is None
+
+
+def test_compare_reports_solver_failure(tmp_path, capsys, monkeypatch):
+    def failing_linprog(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(success=False, status=4,
+                                             message="Numerical difficulties encountered.")
+
+    monkeypatch.setattr(mftk.order, "linprog", failing_linprog)
+    left = _write(tmp_path, "z.json", povm_to_obj(computational_povm(2)))
+    right = _write(tmp_path, "x.json", povm_to_obj(xbasis_povm()))
+    assert main(["compare", "--left", left, "--right", right, "--json"]) == 2
+    error = _json_out(capsys)["error"]
+    assert "linprog failed (status 4)" in error
+    assert "Numerical difficulties" in error
 
 
 def test_umax_cli(tmp_path, capsys):

@@ -137,3 +137,57 @@ def test_hermitian_basis_round_trip():
         coords = basis.coords(h)
         assert coords.dtype == float
         np.testing.assert_allclose(basis.matrix(coords), h, atol=1e-12)
+
+
+def _coords_reference(basis, h):
+    """Tr(B_k h) one element at a time: the definition of the coordinates."""
+    return np.array([np.trace(b @ h).real for b in basis.elements])
+
+
+def test_hermitian_basis_on_stacks():
+    rng = np.random.default_rng(9)
+    for dim in (1, 2, 3, 4, 5):
+        basis = opalg.hermitian_basis(dim)
+        stack = np.stack([random_hermitian(dim, rng) for _ in range(6)])
+        coords = basis.coords(stack)
+        assert coords.shape == (6, dim * dim)
+        for h, row in zip(stack, coords):
+            np.testing.assert_allclose(row, _coords_reference(basis, h), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(basis.coords(h), row, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis.matrix(coords), stack, rtol=0, atol=1e-12)
+        nested = basis.coords(stack.reshape(2, 3, dim, dim))
+        np.testing.assert_allclose(nested.reshape(6, -1), coords, rtol=0, atol=1e-12)
+
+
+def test_hermitian_basis_rejects_bad_stacks():
+    basis = opalg.hermitian_basis(2)
+    bad = np.zeros((3, 2, 2), dtype=complex)
+    bad[1, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        basis.coords(bad)
+    bad[1, 0, 1] = np.inf
+    with pytest.raises(ValueError):
+        basis.coords(bad)
+    with pytest.raises(DimensionMismatchError):
+        basis.coords(np.zeros((3, 3, 3)))
+    with pytest.raises(DimensionMismatchError):
+        basis.matrix(np.zeros((3, 9)))
+
+
+def test_psd_clip_on_stacks():
+    rng = np.random.default_rng(10)
+    for dim in (1, 2, 3, 5):
+        stack = np.stack([random_hermitian(dim, rng) for _ in range(5)])
+        clipped = opalg.psd_clip(stack)
+        assert clipped.shape == stack.shape
+        for h, c in zip(stack, clipped):
+            np.testing.assert_allclose(c, opalg.psd_clip(h), rtol=0, atol=1e-12)
+            w, v = np.linalg.eigh(h)
+            reference = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            np.testing.assert_allclose(c, reference, rtol=0, atol=1e-12)
+    bad = np.zeros((2, 2, 2), dtype=complex)
+    bad[0, 1, 1] = np.nan
+    with pytest.raises(ValueError):
+        opalg.psd_clip(bad)
+    with pytest.raises(ValueError):
+        opalg.psd_clip(np.zeros((2, 2, 3)))

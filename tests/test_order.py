@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
+
+import mftk.order
 
 from mftk import (
     DecisionModel,
@@ -29,7 +32,7 @@ from mftk import (
     u_max,
     xbasis_povm,
 )
-from mftk.errors import DimensionMismatchError
+from mftk.errors import DimensionMismatchError, SolverError
 
 
 def _random_stochastic(n_in, n_out, rng):
@@ -276,3 +279,16 @@ def test_blackwell_vacuous():
         computational_povm(2), xbasis_povm(), family, n_utilities=0, seed=0
     )
     assert report.vacuous and report.consistent
+
+
+def _failing_linprog(*args, **kwargs):
+    return scipy.optimize.OptimizeResult(
+        success=False, status=4, message="Numerical difficulties encountered.", x=None)
+
+
+def test_solver_failure_is_raised_not_read_as_a_verdict(monkeypatch):
+    monkeypatch.setattr(mftk.order, "linprog", _failing_linprog)
+    with pytest.raises(SolverError) as caught:
+        compare(computational_povm(2), xbasis_povm())
+    assert caught.value.status == 4
+    assert "Numerical difficulties" in str(caught.value)
