@@ -37,9 +37,8 @@ from .dilate import (
 )
 from .errors import DimensionMismatchError, TuningRequiredError
 from .measure import Povm
-from .order import LP_ATOL, povm_set_geq
-
-MATCH_ATOL = 1e-9
+from .opalg import CHECK_ATOL, DECISION_ATOL
+from .order import povm_set_geq
 
 CASES = ("downgrade", "duplicate", "upgrade", "innovation")
 MODES = ("inclusive", "exclusive")
@@ -91,7 +90,7 @@ class AgentState:
         object.__setattr__(self, "history", tuple(self.history))
 
 
-def classify_extension(x_set, z_set, tol: float = LP_ATOL) -> str:
+def classify_extension(x_set, z_set, tol: float = DECISION_ATOL) -> str:
     """Place a candidate measurement set z relative to the current set x.
 
     Mutual set-level post-processability means duplicate; one-sided
@@ -115,7 +114,7 @@ def classify_extension(x_set, z_set, tol: float = LP_ATOL) -> str:
     return "innovation"
 
 
-def final_measurements(case: str, mode: str, x_set, z_set, tol: float = LP_ATOL):
+def final_measurements(case: str, mode: str, x_set, z_set, tol: float = DECISION_ATOL):
     """Class-level final set and comparison symbol for a (case, mode) pair.
 
     The returned set is the representative of the final equivalence
@@ -177,10 +176,7 @@ class ExtensionReport:
 def _povms_match(a: Povm, b: Povm) -> bool:
     if a.dim != b.dim or a.n_outcomes != b.n_outcomes:
         return False
-    return all(
-        float(np.max(np.abs(ea.matrix - eb.matrix))) <= MATCH_ATOL
-        for ea, eb in zip(a.effects, b.effects)
-    )
+    return float(np.max(np.abs(a.matrices() - b.matrices()))) <= CHECK_ATOL
 
 
 def incorporate(
@@ -188,7 +184,7 @@ def incorporate(
     system_name: str,
     tuning: TuningCertificate | None,
     mode: str,
-    tol: float = LP_ATOL,
+    tol: float = DECISION_ATOL,
     force: bool = False,
 ) -> tuple[AgentState, ExtensionReport]:
     """Move an external system's measurements inside the agent's boundary.
@@ -326,7 +322,7 @@ def deconstruct(agent: AgentState, measurement_name: str) -> AgentState:
 
 
 def proxy_certificate(
-    agent: AgentState, system_name: str, tol: float = 1e-9
+    agent: AgentState, system_name: str, tol: float = CHECK_ATOL
 ) -> TuningCertificate:
     """Tuning certificate for an external system with remembered apparatus specs.
 

@@ -11,8 +11,8 @@ files), 1 usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +30,7 @@ from .measure import (
     validate_povm,
     xbasis_povm,
 )
-
-GENERAL_TOL = 1e-8
-CHECK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    tol: float = GENERAL_TOL
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+from .opalg import CHECK_ATOL, DECISION_ATOL, FIT_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,6 +74,11 @@ def _distribution_output(args, q: OutcomeDistribution) -> None:
     _emit(args, fileio.distribution_to_obj(q), lines)
 
 
+def _tol(args, default: float) -> float:
+    """``--tol`` if given, else the operation's default from the tolerance table."""
+    return args.tol if args.tol is not None else default
+
+
 def _load_sic(args) -> sicrep.SicPovm:
     if getattr(args, "sic", None):
         return fileio.sic_from_obj(fileio.load_json(args.sic))
@@ -96,11 +89,11 @@ def _load_sic(args) -> sicrep.SicPovm:
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_validate(args, config) -> int:
+def _cmd_validate(args) -> int:
     obj = fileio.load_json(args.file)
     if args.kind == "povm":
         p = fileio.povm_from_obj(obj)
-        report = validate_povm(p, atol=args.tol if args.tol is not None else CHECK_TOL)
+        report = validate_povm(p, atol=_tol(args, CHECK_ATOL))
         payload = {"kind": "povm", "valid": report.ok, "violations": report.lines() if not report.ok else []}
         _emit(args, payload, report.lines())
         return 0 if report.ok else 2
@@ -117,14 +110,14 @@ def _cmd_validate(args, config) -> int:
     return 0
 
 
-def _cmd_born(args, config) -> int:
+def _cmd_born(args) -> int:
     rho = fileio.state_from_obj(fileio.load_json(args.state))
     p = fileio.povm_from_obj(fileio.load_json(args.povm))
     _distribution_output(args, born_probabilities(rho, p))
     return 0
 
 
-def _cmd_sic_build(args, config) -> int:
+def _cmd_sic_build(args) -> int:
     sic = sicrep.build_sic(args.dim)
     obj = fileio.sic_to_obj(sic)
     if args.out:
@@ -136,7 +129,7 @@ def _cmd_sic_build(args, config) -> int:
     return 0
 
 
-def _cmd_sic_probs(args, config) -> int:
+def _cmd_sic_probs(args) -> int:
     sic = _load_sic(args)
     rho = fileio.state_from_obj(fileio.load_json(args.state))
     p = sicrep.state_to_sic_probs(rho, sic)
@@ -159,7 +152,7 @@ def _parse_probs(args) -> list[float]:
     return [float(v) for v in obj]
 
 
-def _cmd_sic_state(args, config) -> int:
+def _cmd_sic_state(args) -> int:
     sic = _load_sic(args)
     values = _parse_probs(args)
     p = sicrep.SicProbVector(dim=sic.dim, probs=np.array(values))
@@ -202,22 +195,22 @@ def _conditional_inputs(args):
     return p, r, target.labels
 
 
-def _cmd_urgleichung(args, config) -> int:
+def _cmd_urgleichung(args) -> int:
     p, r, labels = _conditional_inputs(args)
     _distribution_output(args, sicrep.urgleichung(p, r, labels=labels))
     return 0
 
 
-def _cmd_classical(args, config) -> int:
+def _cmd_classical(args) -> int:
     p, r, labels = _conditional_inputs(args)
     _distribution_output(args, sicrep.classical_rule(p, r, labels=labels))
     return 0
 
 
-def _cmd_compare(args, config) -> int:
+def _cmd_compare(args) -> int:
     left = fileio.povm_from_obj(fileio.load_json(args.left))
     right = fileio.povm_from_obj(fileio.load_json(args.right))
-    verdict = order.compare(left, right, tol=config.tol)
+    verdict = order.compare(left, right, tol=_tol(args, DECISION_ATOL))
     obj = {
         "relation": verdict.relation,
         "residual_forward": float(verdict.residual_forward),
@@ -240,7 +233,7 @@ def _cmd_compare(args, config) -> int:
     return 0
 
 
-def _cmd_umax(args, config) -> int:
+def _cmd_umax(args) -> int:
     prior, utility, channels = fileio.decision_from_obj(fileio.load_json(args.model))
     if args.channel not in channels:
         raise SchemaError(
@@ -257,7 +250,7 @@ def _cmd_umax(args, config) -> int:
     return 0
 
 
-def _cmd_dilate_naimark(args, config) -> int:
+def _cmd_dilate_naimark(args) -> int:
     z = fileio.povm_from_obj(fileio.load_json(args.povm))
     spec = dilate.naimark_construct(z)
     check = dilate.is_generalized_dilation(spec.y, z, spec)
@@ -271,25 +264,24 @@ def _cmd_dilate_naimark(args, config) -> int:
     return 0
 
 
-def _cmd_dilate_verify(args, config) -> int:
+def _cmd_dilate_verify(args) -> int:
     spec = fileio.dilation_from_obj(fileio.load_json(args.spec))
     z = fileio.povm_from_obj(fileio.load_json(args.target))
     y = spec.y
     if args.pointer:
         y = fileio.povm_from_obj(fileio.load_json(args.pointer))
-    tol = args.tol if args.tol is not None else CHECK_TOL
+    tol = _tol(args, CHECK_ATOL)
     check = dilate.is_generalized_dilation(y, z, spec, tol)
     obj = {"holds": check.holds, "residual": float(check.residual), "tol": tol}
     _emit(args, obj, [f"holds: {check.holds}", f"residual: {_fmt(check.residual)}"])
     return 0 if check.holds else 2
 
 
-def _cmd_dilate_probcheck(args, config) -> int:
+def _cmd_dilate_probcheck(args) -> int:
     spec = fileio.dilation_from_obj(fileio.load_json(args.spec))
     z = fileio.povm_from_obj(fileio.load_json(args.target))
-    tol = args.tol if args.tol is not None else GENERAL_TOL
     report = dilate.check_tuning_probabilistic(
-        spec, z, n_states=args.n_states, seed=config.seed, tol=tol
+        spec, z, n_states=args.n_states, seed=args.seed, tol=_tol(args, DECISION_ATOL)
     )
     obj = {
         "max_gap": float(report.max_gap),
@@ -306,7 +298,7 @@ def _cmd_dilate_probcheck(args, config) -> int:
     return 0 if report.holds and report.agrees else 2
 
 
-def _cmd_tuned(args, config) -> int:
+def _cmd_tuned(args) -> int:
     obj = fileio.load_json(args.claims)
     pairs_obj = obj.get("pairs") if isinstance(obj, dict) else None
     if not isinstance(pairs_obj, list):
@@ -322,8 +314,7 @@ def _cmd_tuned(args, config) -> int:
         spec = fileio.dilation_from_obj(entry.get("spec"), f"{here}.spec")
         pairs.append((y, z))
         specs.append(spec)
-    tol = args.tol if args.tol is not None else CHECK_TOL
-    cert = dilate.verify_tuned(pairs, specs, tol)
+    cert = dilate.verify_tuned(pairs, specs, _tol(args, CHECK_ATOL))
     payload = fileio.certificate_to_obj(cert)
     if args.out:
         fileio.save_json(args.out, payload)
@@ -333,7 +324,7 @@ def _cmd_tuned(args, config) -> int:
     return 0 if cert.tuned else 2
 
 
-def _cmd_discover(args, config) -> int:
+def _cmd_discover(args) -> int:
     table, dim_hint = fileio.table_from_obj(fileio.load_json(args.table))
     if args.scan_dim:
         try:
@@ -354,7 +345,7 @@ def _cmd_discover(args, config) -> int:
     for d in dims:
         result = sicrep.discover_system(
             table, d, max_iters=args.max_iters, tol=args.fit_tol,
-            restarts=args.restarts, seed=config.seed,
+            restarts=args.restarts, seed=args.seed,
         )
         scanned.append({"dim": d, "feasible": result.feasible,
                         "residual": float(result.residual)})
@@ -383,7 +374,7 @@ def _cmd_discover(args, config) -> int:
     return 0
 
 
-def _cmd_agent_classify(args, config) -> int:
+def _cmd_agent_classify(args) -> int:
     state = fileio.agent_from_obj(fileio.load_json(args.agent))
     if (args.tuning is None) == (args.candidates is None):
         raise SchemaError("arguments", "give exactly one of --tuning or --candidates")
@@ -396,16 +387,18 @@ def _cmd_agent_classify(args, config) -> int:
         if not isinstance(povms_obj, list):
             raise SchemaError("candidates", 'expected an array or {"povms": [...]}')
         z_set = [fileio.povm_from_obj(p, f"candidates[{i}]") for i, p in enumerate(povms_obj)]
-    case = agentmod.classify_extension(list(state.direct.values()), z_set, tol=config.tol)
+    case = agentmod.classify_extension(
+        list(state.direct.values()), z_set, tol=_tol(args, DECISION_ATOL)
+    )
     _emit(args, {"case": case}, [f"case: {case}"])
     return 0
 
 
-def _cmd_agent_incorporate(args, config) -> int:
+def _cmd_agent_incorporate(args) -> int:
     state = fileio.agent_from_obj(fileio.load_json(args.agent))
     cert = fileio.certificate_from_obj(fileio.load_json(args.tuning))
     new_state, report = agentmod.incorporate(
-        state, args.system, cert, args.mode, tol=config.tol, force=args.force
+        state, args.system, cert, args.mode, tol=_tol(args, DECISION_ATOL), force=args.force
     )
     if args.out:
         fileio.save_json(args.out, fileio.agent_to_obj(new_state))
@@ -427,7 +420,7 @@ def _cmd_agent_incorporate(args, config) -> int:
     return 0
 
 
-def _cmd_agent_deconstruct(args, config) -> int:
+def _cmd_agent_deconstruct(args) -> int:
     state = fileio.agent_from_obj(fileio.load_json(args.agent))
     new_state = agentmod.deconstruct(state, args.measurement)
     obj = fileio.agent_to_obj(new_state)
@@ -442,7 +435,7 @@ def _cmd_agent_deconstruct(args, config) -> int:
     return 0
 
 
-def _cmd_demo(args, config) -> int:
+def _cmd_demo(args) -> int:
     sic = sicrep.build_sic(2)
     rho = basis_state(2, 0)
     zbasis = computational_povm(2)
@@ -594,7 +587,7 @@ def build_parser() -> _Parser:
     p.add_argument("--table", required=True)
     p.add_argument("--dim", type=int)
     p.add_argument("--scan-dim", help="try each dimension in MIN..MAX")
-    p.add_argument("--fit-tol", type=float, default=1e-6)
+    p.add_argument("--fit-tol", type=float, default=FIT_TOL)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--restarts", type=int, default=20)
     p.set_defaults(func=_cmd_discover)
@@ -629,14 +622,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None and args.tol <= 0:
-        parser.error("--tol must be positive")
-    config = CliConfig(
-        tol=args.tol if args.tol is not None else GENERAL_TOL,
-        seed=args.seed,
-    )
+    for name in ("tol", "fit_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            parser.error(f"--{name.replace('_', '-')} must be positive and finite")
     try:
-        return args.func(args, config)
+        return args.func(args)
     except ValueError as exc:  # includes SchemaError and all domain errors
         if args.json:
             sys.stdout.write(fileio.dump_json({"error": str(exc)}))

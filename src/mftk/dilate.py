@@ -32,9 +32,8 @@ from .measure import (
     basis_state,
     computational_povm,
 )
+from .opalg import CHECK_ATOL
 from .sicrep import SicPovm, SicProbVector, build_sic, povm_to_conditional, urgleichung
-
-DILATION_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class DilationCheck:
 
 
 def is_generalized_dilation(
-    y: Povm, z: Povm, spec: DilationSpec, tol: float = DILATION_ATOL
+    y: Povm, z: Povm, spec: DilationSpec, tol: float = CHECK_ATOL
 ) -> DilationCheck:
     """Does reading y off the apparatus reproduce z on the target, for all states?
 
@@ -127,10 +126,7 @@ def is_generalized_dilation(
     probe = spec if y is spec.y else DilationSpec(
         sigma=spec.sigma, phi=spec.phi, y=y, dim_s=spec.dim_s, dim_t=spec.dim_t
     )
-    got = induced_povm(probe)
-    residual = 0.0
-    for a, b in zip(got.effects, z.effects):
-        residual = max(residual, float(np.max(np.abs(a.matrix - b.matrix))))
+    residual = float(np.max(np.abs(induced_povm(probe).matrices() - z.matrices())))
     return DilationCheck(holds=residual <= tol, residual=residual)
 
 
@@ -147,17 +143,12 @@ def naimark_construct(z: Povm) -> DilationSpec:
     n = z.n_outcomes
     d_t = z.dim
     joint = n * d_t
-    roots = []
-    for e in z.effects:
-        w, v = np.linalg.eigh(opalg.hermitize(e.matrix))
-        w = np.clip(w, 0.0, None)
-        roots.append((v * np.sqrt(w)) @ opalg.dagger(v))
+    w, v = np.linalg.eigh(opalg.hermitize(z.matrices()))
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ opalg.dagger(v)
+    # Column t of the isometry stacks column t of every root. Adding onto
+    # zeros (rather than assigning) stores -0.0 entries as +0.0.
     columns = np.zeros((joint, joint), dtype=complex)
-    for t in range(d_t):
-        col = np.zeros(joint, dtype=complex)
-        for zi, root in enumerate(roots):
-            col[zi * d_t : (zi + 1) * d_t] += root[:, t]
-        columns[:, t] = col
+    columns[:, :d_t] += roots.reshape(joint, d_t)
     filled = d_t
     for pivot in range(joint):
         if filled == joint:
@@ -208,7 +199,7 @@ class TuningCertificate:
         return tuple(p.residual for p in self.pairs)
 
 
-def verify_tuned(pairs, specs, tol: float = DILATION_ATOL) -> TuningCertificate:
+def verify_tuned(pairs, specs, tol: float = CHECK_ATOL) -> TuningCertificate:
     """Check a list of (y, z) measurement pairs against matching apparatus specs.
 
     The apparatus is tuned when every target measurement is reproduced
@@ -242,7 +233,7 @@ def check_tuning_probabilistic(
     sics: tuple[SicPovm, SicPovm] | None = None,
     n_states: int = 50,
     seed: int = 0,
-    tol: float = DILATION_ATOL,
+    tol: float = CHECK_ATOL,
 ) -> ProbabilisticReport:
     """Cross-check a dilation claim through reference-measurement probabilities.
 

@@ -15,12 +15,7 @@ import numpy as np
 
 from . import opalg
 from .errors import DimensionMismatchError, NonHermitianError, NotPositiveSemidefiniteError
-
-COMPLETENESS_ATOL = 1e-9
-EFFECT_PSD_ATOL = 1e-9
-STATE_ATOL = 1e-10
-PROB_CLAMP = 1e-12
-PROB_SUM_ATOL = 1e-10
+from .opalg import CHECK_ATOL, PROB_CLAMP, ROUNDOFF_ATOL
 
 
 @dataclass(frozen=True)
@@ -34,13 +29,13 @@ class DensityMatrix:
         m = opalg.as_matrix(self.matrix)
         if m.shape != (self.dim, self.dim):
             raise DimensionMismatchError(f"state matrix is {m.shape}, dim says {self.dim}")
-        if not opalg.is_hermitian(m, STATE_ATOL):
+        if not opalg.is_hermitian(m, ROUNDOFF_ATOL):
             raise NonHermitianError("state matrix is not Hermitian within 1e-10")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > STATE_ATOL:
+        if abs(tr - 1.0) > ROUNDOFF_ATOL:
             raise ValueError(f"state trace {tr!r} differs from 1 beyond 1e-10")
         low = float(np.linalg.eigvalsh(m)[0])
-        if low < -STATE_ATOL:
+        if low < -ROUNDOFF_ATOL:
             raise NotPositiveSemidefiniteError(f"state has eigenvalue {low:.3e}")
         object.__setattr__(self, "matrix", opalg.freeze(m))
 
@@ -165,7 +160,7 @@ class OutcomeDistribution:
         if p.min(initial=0.0) < -PROB_CLAMP:
             raise ValueError(f"negative probability {p.min():.3e}")
         total = p.sum()
-        if abs(total - 1.0) > PROB_SUM_ATOL:
+        if abs(total - 1.0) > ROUNDOFF_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
@@ -196,7 +191,7 @@ class QuantumChannel:
                 )
         total = sum(opalg.dagger(k) @ k for k in ops)
         residual = np.max(np.abs(total - np.eye(self.dim_in)))
-        if residual > COMPLETENESS_ATOL:
+        if residual > CHECK_ATOL:
             raise ValueError(f"channel is not trace preserving (residual {residual:.3e})")
         object.__setattr__(self, "kraus", ops)
 
@@ -240,7 +235,7 @@ class StochasticMatrix:
             raise ValueError(f"negative conditional probability {m.min():.3e}")
         sums = m.sum(axis=0)
         worst = np.max(np.abs(sums - 1.0))
-        if worst > PROB_SUM_ATOL:
+        if worst > ROUNDOFF_ATOL:
             raise ValueError(f"input column sums deviate from 1 by {worst:.3e}")
         m = np.clip(m, 0.0, None)
         m = m / m.sum(axis=0, keepdims=True)
@@ -295,7 +290,7 @@ class ValidationReport:
         return [f"{v.invariant}: {v.detail} (magnitude {v.magnitude:.3e})" for v in self.violations]
 
 
-def validate_povm(p: Povm, atol: float = COMPLETENESS_ATOL) -> ValidationReport:
+def validate_povm(p: Povm, atol: float = CHECK_ATOL) -> ValidationReport:
     """Check Hermiticity and positivity of every effect and completeness of the sum.
 
     Returns a report listing each violated invariant with its magnitude;
@@ -308,7 +303,7 @@ def validate_povm(p: Povm, atol: float = COMPLETENESS_ATOL) -> ValidationReport:
             found.append(Violation("hermiticity", herm, f"effect {e.label!r} is not Hermitian"))
             continue
         low = float(np.linalg.eigvalsh(opalg.hermitize(e.matrix))[0])
-        if low < -EFFECT_PSD_ATOL:
+        if low < -CHECK_ATOL:
             found.append(
                 Violation("positivity", -low, f"effect {e.label!r} has eigenvalue {low:.3e}")
             )
@@ -373,11 +368,7 @@ def random_povm(dim: int, n_outcomes: int, seed) -> Povm:
     for _ in range(n_outcomes):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         blocks.append(g @ opalg.dagger(g))
-    total = sum(blocks)
-    w, v = np.linalg.eigh(total)
-    inv_root = (v / np.sqrt(w)) @ opalg.dagger(v)
-    mats = [opalg.hermitize(inv_root @ b @ inv_root) for b in blocks]
-    return Povm.from_matrices(dim, mats)
+    return Povm.from_matrices(dim, opalg.normalize_effects(np.stack(blocks))[0])
 
 
 def random_channel(dim: int, n_kraus: int, seed) -> QuantumChannel:

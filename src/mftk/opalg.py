@@ -1,9 +1,33 @@
 """Dense complex operator algebra: tensor products, partial traces,
-Hermitian eigensystems, PSD square roots, and orthonormal Hermitian bases.
+Hermitian eigensystems, PSD square roots, effect normalization, and
+orthonormal Hermitian bases.
 
 All functions are pure and operate on (or return) read-only complex
 ``numpy`` arrays; dimensions here are small (a few dozen at most), so
 everything is dense and direct.
+
+Default tolerances. Every verdict in the package is a residual compared
+with one of these; each public ``tol``/``atol`` keyword defaults to one
+of them, so a caller overrides a check without touching the others.
+
+============== ======= ===================================================
+name           value   used for
+============== ======= ===================================================
+ROUNDOFF_ATOL  1e-10   Hermiticity, state trace and positivity,
+                       probability sums, the 1/d bound of reference
+                       probabilities
+CHECK_ATOL     1e-9    POVM completeness and effect positivity, channel
+                       trace preservation, SIC overlaps, negativity of
+                       the affine update, dilation and tuning residuals,
+                       the agent's pointer match, the utility slack of
+                       the Blackwell cross-check
+DECISION_ATOL  1e-8    the post-processing-order LP and everything
+                       decided through it, and the negativity floor of
+                       ``psd_sqrt`` and of reference-probability
+                       inversion
+PROB_CLAMP     1e-12   negative probabilities clamped to zero as round-off
+FIT_TOL        1e-6    worst table entry a discovered model may miss by
+============== ======= ===================================================
 """
 
 from __future__ import annotations
@@ -15,8 +39,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianError, NotPositiveSemidefiniteError
 
-HERMITIAN_ATOL = 1e-10
-PSD_EIGENVALUE_FLOOR = -1e-8
+ROUNDOFF_ATOL = 1e-10
+CHECK_ATOL = 1e-9
+DECISION_ATOL = 1e-8
+PROB_CLAMP = 1e-12
+FIT_TOL = 1e-6
 
 
 def freeze(m: np.ndarray) -> np.ndarray:
@@ -51,7 +78,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m)).swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
+def is_hermitian(m: np.ndarray, atol: float = ROUNDOFF_ATOL) -> bool:
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= atol
 
@@ -88,7 +115,7 @@ def partial_trace(m, dim_first: int, dim_second: int, keep: str = "first") -> np
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def hermitian_eigensystem(h, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(h, atol: float = ROUNDOFF_ATOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and eigenvector columns of a Hermitian matrix."""
     h = as_matrix(h)
     if not is_hermitian(h, atol):
@@ -109,9 +136,9 @@ def psd_sqrt(h) -> np.ndarray:
     Eigenvalues in [-1e-8, 0) are clamped to zero; anything lower raises.
     """
     eigenvalues, v = hermitian_eigensystem(h)
-    if eigenvalues[0] < PSD_EIGENVALUE_FLOOR:
+    if eigenvalues[0] < -DECISION_ATOL:
         raise NotPositiveSemidefiniteError(
-            f"minimum eigenvalue {eigenvalues[0]:.3e} below {PSD_EIGENVALUE_FLOOR:.0e}"
+            f"minimum eigenvalue {eigenvalues[0]:.3e} below {-DECISION_ATOL:.0e}"
         )
     root = np.sqrt(np.clip(eigenvalues, 0.0, None))
     return hermitize((v * root) @ dagger(v))
@@ -126,6 +153,22 @@ def psd_clip(h) -> np.ndarray:
     eigenvalues, v = np.linalg.eigh(hermitize(as_matrix_stack(h)))
     clipped = np.clip(eigenvalues, 0.0, None)
     return hermitize((v * clipped[..., None, :]) @ dagger(v))
+
+
+def normalize_effects(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale PSD blocks B_j into effects S^{-1/2} B_j S^{-1/2} that sum
+    to the identity, where S is the sum of the blocks.
+
+    Takes a (..., n, d, d) stack and normalizes each set of n blocks on
+    its own. Returns the hermitized effects and the ascending eigenvalues
+    of each S, shape (..., d); a singular S (smallest eigenvalue near
+    zero) leaves effects that do not sum to the identity, so callers that
+    need a valid POVM check ``w[..., 0]``.
+    """
+    w, v = np.linalg.eigh(hermitize(np.sum(blocks, axis=-3)))
+    inv_root = (v / np.sqrt(np.clip(w, 1e-300, None))[..., None, :]) @ dagger(v)
+    inv_root = inv_root[..., None, :, :]
+    return hermitize(inv_root @ blocks @ inv_root), w
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ measurement than with the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -26,11 +26,8 @@ from .measure import (
     Povm,
     StochasticMatrix,
     born_probabilities,
-    post_process,
 )
-
-LP_ATOL = 1e-8
-UTILITY_SLACK = 1e-9
+from .opalg import CHECK_ATOL, DECISION_ATOL
 
 
 def bayes_update(prior_h: float, prior_e: float, likelihood_e_given_h: float) -> float:
@@ -47,7 +44,7 @@ class GeqResult:
     residual: float
 
 
-def povm_geq(z: Povm, x: Povm, tol: float = LP_ATOL) -> GeqResult:
+def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
     """Can x be obtained from z by classical post-processing?
 
     Solves min t subject to |sum_z lambda(x|z) Z_z - X_x| <= t
@@ -97,11 +94,8 @@ def povm_geq(z: Povm, x: Povm, tol: float = LP_ATOL) -> GeqResult:
     lam = np.clip(result.x[: nx * nz].reshape(nx, nz), 0.0, None)
     lam = lam / lam.sum(axis=0, keepdims=True)
     witness = StochasticMatrix(n_in=nz, n_out=nx, entries=lam)
-    rebuilt = post_process(z, witness)
-    residual = max(
-        float(np.max(np.abs(a.matrix - b.matrix)))
-        for a, b in zip(rebuilt.effects, x.effects)
-    )
+    rebuilt = np.einsum("xz,zij->xij", witness.entries, z.matrices())
+    residual = float(np.max(np.abs(rebuilt - x.matrices())))
     if residual > tol:
         return GeqResult(holds=False, witness=None, residual=residual)
     return GeqResult(holds=True, witness=witness, residual=residual)
@@ -116,7 +110,7 @@ class OrderVerdict:
     residual_backward: float
 
 
-def compare(z: Povm, x: Povm, tol: float = LP_ATOL) -> OrderVerdict:
+def compare(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> OrderVerdict:
     """Classify the pair under the post-processing order."""
     fwd = povm_geq(z, x, tol)
     bwd = povm_geq(x, z, tol)
@@ -137,7 +131,7 @@ def compare(z: Povm, x: Povm, tol: float = LP_ATOL) -> OrderVerdict:
     )
 
 
-def is_trivial_class(p: Povm, tol: float = LP_ATOL) -> bool:
+def is_trivial_class(p: Povm, tol: float = DECISION_ATOL) -> bool:
     """True when every effect is a multiple of the identity.
 
     These are the measurements whose outcomes carry no information
@@ -152,7 +146,7 @@ def is_trivial_class(p: Povm, tol: float = LP_ATOL) -> bool:
     return True
 
 
-def is_rank_one_povm(p: Povm, tol: float = LP_ATOL) -> bool:
+def is_rank_one_povm(p: Povm, tol: float = DECISION_ATOL) -> bool:
     """True when every nonzero effect has rank one (eigenvalues above tol)."""
     for e in p.effects:
         w = np.linalg.eigvalsh(opalg.hermitize(e.matrix))
@@ -263,7 +257,7 @@ def blackwell_consistency(
     state_family,
     n_utilities: int = 20,
     seed: int = 0,
-    tol: float = LP_ATOL,
+    tol: float = DECISION_ATOL,
 ) -> ConsistencyReport:
     """Cross-check the LP order against sampled decision problems.
 
@@ -280,17 +274,21 @@ def blackwell_consistency(
     n_w = len(states)
     violations = []
     reversals = 0
+    # Only the utility changes from sample to sample, so each side's Born
+    # channel is computed once.
+    if n_utilities:
+        model_z, model_x = (decision_model_for(p, states, np.zeros((n_w, n_w))) for p in (z, x))
     for i in range(n_utilities):
         utility = rng.uniform(0.0, 1.0, size=(n_w, n_w))
-        uz = u_max(decision_model_for(z, states, utility)).value
-        ux = u_max(decision_model_for(x, states, utility)).value
+        uz = u_max(replace(model_z, utility=utility)).value
+        ux = u_max(replace(model_x, utility=utility)).value
         if ux > uz + tol:
             reversals += 1
             if geq:
                 violations.append(
                     f"utility {i}: post-processed side scored {ux:.6f} > {uz:.6f}"
                 )
-        elif geq and ux > uz + UTILITY_SLACK:
+        elif geq and ux > uz + CHECK_ATOL:
             violations.append(f"utility {i}: monotonicity slack exceeded ({ux - uz:.3e})")
     return ConsistencyReport(
         consistent=not violations,
@@ -308,7 +306,7 @@ class SetOrderResult:
     assignments: tuple[int | None, ...]
 
 
-def povm_set_geq(zs, xs, tol: float = LP_ATOL) -> SetOrderResult:
+def povm_set_geq(zs, xs, tol: float = DECISION_ATOL) -> SetOrderResult:
     """Is every member of xs post-processable from some single member of zs?
 
     ``assignments[j]`` is the index in zs of the first witnessing

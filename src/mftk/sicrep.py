@@ -37,11 +37,7 @@ from .measure import (
     born_probabilities,
     validate_povm,
 )
-
-OVERLAP_ATOL = 1e-9
-URGLEICHUNG_NEG_ATOL = 1e-9
-STATE_PSD_ATOL = 1e-8
-PROB_CLAMP = 1e-12
+from .opalg import CHECK_ATOL, DECISION_ATOL, FIT_TOL, PROB_CLAMP, ROUNDOFF_ATOL
 
 
 @dataclass(frozen=True)
@@ -62,16 +58,16 @@ class SicPovm:
         target = np.full((d * d, d * d), 1.0 / (d + 1))
         np.fill_diagonal(target, 1.0)
         worst = np.max(np.abs(gram - target))
-        if worst > OVERLAP_ATOL:
+        if worst > CHECK_ATOL:
             raise ValueError(f"fiducial overlaps deviate from equiangularity by {worst:.3e}")
         if self.povm.dim != d or self.povm.n_outcomes != d * d:
             raise DimensionMismatchError("effect list does not match the fiducial family")
         for v, e in zip(vecs, self.povm.effects):
             gap = np.max(np.abs(e.matrix - np.outer(v, v.conj()) / d))
-            if gap > OVERLAP_ATOL:
+            if gap > CHECK_ATOL:
                 raise ValueError(f"effect {e.label!r} is not its fiducial projector / d")
         total = sum(e.matrix for e in self.povm.effects)
-        if np.max(np.abs(total - np.eye(d))) > OVERLAP_ATOL:
+        if np.max(np.abs(total - np.eye(d))) > CHECK_ATOL:
             raise ValueError("reference effects do not sum to the identity")
         object.__setattr__(self, "fiducial_states", vecs)
 
@@ -156,9 +152,9 @@ class SicProbVector:
             raise DimensionMismatchError(f"expected {self.dim ** 2} entries, got {p.size}")
         if p.min(initial=0.0) < -PROB_CLAMP:
             raise ValueError(f"negative reference probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-10:
+        if abs(p.sum() - 1.0) > ROUNDOFF_ATOL:
             raise ValueError(f"reference probabilities sum to {p.sum()!r}, not 1")
-        if p.max() > 1.0 / self.dim + 1e-10:
+        if p.max() > 1.0 / self.dim + ROUNDOFF_ATOL:
             raise NonQuantumProbabilityError(
                 f"non-quantum probability vector: entry {p.max()!r} exceeds 1/d"
             )
@@ -184,15 +180,13 @@ def sic_probs_to_state(p: SicProbVector, sic: SicPovm) -> DensityMatrix:
         raise DimensionMismatchError(f"probability dim {p.dim} != reference dim {sic.dim}")
     d = sic.dim
     coeff = (d + 1) * p.probs - 1.0 / d
-    rho = np.einsum("i,ijk->jk", coeff, sic.projectors())
-    rho = opalg.hermitize(rho)
-    w, v = np.linalg.eigh(rho)
-    if w[0] < -STATE_PSD_ATOL:
+    rho = opalg.hermitize(np.einsum("i,ijk->jk", coeff, sic.projectors()))
+    low = np.linalg.eigvalsh(rho)[0]
+    if low < -DECISION_ATOL:
         raise NonQuantumProbabilityError(
-            f"non-quantum probability vector: reconstructed operator has eigenvalue {w[0]:.3e}"
+            f"non-quantum probability vector: reconstructed operator has eigenvalue {low:.3e}"
         )
-    w = np.clip(w, 0.0, None)
-    rho = opalg.hermitize((v * w) @ opalg.dagger(v))
+    rho = opalg.psd_clip(rho)
     return DensityMatrix(dim=d, matrix=rho / np.trace(rho).real)
 
 
@@ -220,7 +214,7 @@ def urgleichung(p: SicProbVector, r: StochasticMatrix, labels=None) -> OutcomeDi
     if r.n_in != d * d:
         raise DimensionMismatchError(f"conditional table has {r.n_in} inputs, expected {d * d}")
     q = r.entries @ ((d + 1) * p.probs - 1.0 / d)
-    if q.min() < -URGLEICHUNG_NEG_ATOL:
+    if q.min() < -CHECK_ATOL:
         raise InconsistentPairError(f"inconsistent (p, r) pair: q({q.argmin()}) = {q.min():.3e}")
     q = np.clip(q, 0.0, None)
     if labels is None:
@@ -316,12 +310,7 @@ def _random_model(d, n_prep, counts, rng):
 
     m = grams(n_prep)
     states = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-    effect_sets = []
-    for n in counts:
-        blocks = grams(n)
-        w, v = np.linalg.eigh(blocks.sum(axis=0))
-        inv_root = (v / np.sqrt(w)) @ opalg.dagger(v)
-        effect_sets.append(opalg.hermitize(inv_root @ blocks @ inv_root))
+    effect_sets = [opalg.normalize_effects(grams(n))[0] for n in counts]
     return states, effect_sets
 
 
@@ -358,12 +347,10 @@ def _repair_model(table, d, states, effect_sets):
         return None
     povms = []
     for effects in effect_sets:
-        effects = opalg.psd_clip(effects)
-        w, v = np.linalg.eigh(opalg.hermitize(effects.sum(axis=0)))
+        effects, w = opalg.normalize_effects(opalg.psd_clip(effects))
         if w[0] < 1e-12:
             return None
-        inv_root = (v / np.sqrt(w)) @ opalg.dagger(v)
-        povm = Povm.from_matrices(d, opalg.hermitize(inv_root @ effects @ inv_root))
+        povm = Povm.from_matrices(d, effects)
         if not validate_povm(povm).ok:
             return None
         povms.append(povm)
@@ -396,12 +383,8 @@ def _polish_unpack(xs, d, n_prep, counts):
     effect_sets = []
     at = n_prep
     for n in counts:
-        block = grams[..., at:at + n, :, :]
+        effect_sets.append(opalg.normalize_effects(grams[..., at:at + n, :, :])[0])
         at += n
-        w, v = np.linalg.eigh(opalg.hermitize(block.sum(axis=-3)))
-        inv_root = (v / np.sqrt(np.clip(w, 1e-300, None))[..., None, :]) @ opalg.dagger(v)
-        inv_root = inv_root[..., None, :, :]
-        effect_sets.append(inv_root @ block @ inv_root)
     return states, effect_sets
 
 
@@ -456,7 +439,7 @@ def _polish_model(d, states, effect_sets, q_arrays):
         max_nfev=3000,
     )
     out_states, out_effects = _polish_unpack(sol.x, d, n_prep, counts)
-    return opalg.hermitize(out_states), [opalg.hermitize(e) for e in out_effects]
+    return opalg.hermitize(out_states), out_effects
 
 
 def discover_system(
@@ -464,7 +447,7 @@ def discover_system(
     d: int,
     *,
     max_iters: int = 500,
-    tol: float = 1e-6,
+    tol: float = FIT_TOL,
     restarts: int = 20,
     seed: int = 0,
 ) -> DiscoveryResult:

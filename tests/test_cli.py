@@ -320,3 +320,24 @@ def test_demo_runs_clean(capsys):
     assert main(["demo", "--json"]) == 0
     out = _json_out(capsys)
     assert out["classical_gap"] == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_malformed_tol_rejected(tmp_path, capsys, value):
+    left = _write(tmp_path, "z.json", povm_to_obj(computational_povm(2)))
+    right = _write(tmp_path, "x.json", povm_to_obj(xbasis_povm()))
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "--left", left, "--right", right, "--tol", value, "--json"])
+    assert err.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_malformed_fit_tol_rejected(tmp_path, capsys, value):
+    states = [basis_state(2, 0), basis_state(2, 1), random_state(2, seed=92)]
+    table = ProbabilityTable.from_model(states, [computational_povm(2), xbasis_povm()])
+    table_file = _write(tmp_path, "table.json", table_to_obj(table, dim_hint=2))
+    with pytest.raises(SystemExit) as err:
+        main(["discover", "--table", table_file, "--fit-tol", value, "--json"])
+    assert err.value.code == 1
+    assert capsys.readouterr().out == ""

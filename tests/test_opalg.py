@@ -191,3 +191,34 @@ def test_psd_clip_on_stacks():
         opalg.psd_clip(bad)
     with pytest.raises(ValueError):
         opalg.psd_clip(np.zeros((2, 2, 3)))
+
+
+def test_normalize_effects_sums_to_identity():
+    rng = np.random.default_rng(17)
+    for d in range(1, 6):
+        g = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+        effects, w = opalg.normalize_effects(g @ opalg.dagger(g))
+        assert effects.shape == (4, d, d) and w.shape == (d,)
+        assert np.all(np.diff(w) >= 0) and w[0] > 0
+        assert np.max(np.abs(effects.sum(axis=0) - np.eye(d))) <= opalg.CHECK_ATOL
+        for e in effects:
+            assert opalg.is_hermitian(e)
+            assert np.linalg.eigvalsh(e)[0] >= -opalg.CHECK_ATOL
+
+
+def test_normalize_effects_on_batches():
+    rng = np.random.default_rng(18)
+    g = rng.standard_normal((3, 4, 3, 3)) + 1j * rng.standard_normal((3, 4, 3, 3))
+    blocks = g @ opalg.dagger(g)
+    effects, w = opalg.normalize_effects(blocks)
+    assert effects.shape == (3, 4, 3, 3) and w.shape == (3, 3)
+    for k in range(3):
+        one_effects, one_w = opalg.normalize_effects(blocks[k])
+        np.testing.assert_allclose(effects[k], one_effects, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(w[k], one_w, rtol=0, atol=1e-13)
+
+
+def test_normalize_effects_reports_singular_sum():
+    effects, w = opalg.normalize_effects(np.zeros((3, 2, 2), dtype=complex))
+    assert w[0] == 0
+    assert np.all(np.isfinite(effects))

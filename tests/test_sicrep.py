@@ -25,7 +25,7 @@ from mftk import (
     urgleichung,
     validate_povm,
 )
-from mftk.sicrep import _polish_jacobian, _polish_residuals
+from mftk.sicrep import _polish_jacobian, _polish_residuals, _repair_model
 from mftk.errors import (
     DimensionMismatchError,
     InconsistentPairError,
@@ -339,3 +339,11 @@ def test_discover_verdicts_are_pinned():
         assert (result.feasible, result.restarts_used) == (False, 5)
         # The best repaired model misses by (2 - sqrt 2) / 4 on every run.
         assert result.residual == pytest.approx((2 - np.sqrt(2)) / 4, abs=1e-9)
+
+
+def test_repair_rejects_a_vanishing_effect_set():
+    states = [basis_state(2, 0), basis_state(2, 1)]
+    table = ProbabilityTable.from_model(states, [computational_povm(2)])
+    stack = np.array([rho.matrix for rho in states])
+    assert _repair_model(table, 2, stack, [np.zeros((2, 2, 2), dtype=complex)]) is None
+    assert _repair_model(table, 2, stack, [computational_povm(2).matrices()])[0] < 1e-12
