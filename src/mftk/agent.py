@@ -43,6 +43,26 @@ from .order import povm_set_geq
 CASES = ("downgrade", "duplicate", "upgrade", "innovation")
 MODES = ("inclusive", "exclusive")
 
+# The table of the module docstring: (case, mode) -> (final class, comparison).
+_TAXONOMY = {
+    ("downgrade", "exclusive"): ("Z", "<"),
+    ("downgrade", "inclusive"): ("X", "="),
+    ("duplicate", "exclusive"): ("X", "="),
+    ("duplicate", "inclusive"): ("X", "="),
+    ("upgrade", "exclusive"): ("Z", ">"),
+    ("upgrade", "inclusive"): ("Z", ">"),
+    ("innovation", "exclusive"): ("Z", "≠"),
+    ("innovation", "inclusive"): ("XZ", "≠"),
+}
+
+
+def _taxonomy_row(case: str, mode: str) -> tuple[str, str]:
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _TAXONOMY[case, mode]
+
 
 @dataclass(frozen=True)
 class ExternalSystem:
@@ -122,10 +142,7 @@ def final_measurements(case: str, mode: str, x_set, z_set, tol: float = DECISION
     class of the old set even though the agent now also owns the new
     measurements. Inputs are re-classified and must agree with ``case``.
     """
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    _taxonomy_row(case, mode)
     x_set = list(x_set)
     z_set = list(z_set)
     found = classify_extension(x_set, z_set, tol)
@@ -137,30 +154,14 @@ def final_measurements(case: str, mode: str, x_set, z_set, tol: float = DECISION
 def _final_set(case: str, mode: str, x_set, z_set):
     """The (final set, comparison) of ``final_measurements`` for an
     already classified pair of sets."""
-    if case == "downgrade":
-        if mode == "exclusive":
-            return tuple(z_set), "<"
-        return tuple(x_set), "="
-    if case == "duplicate":
-        return tuple(x_set), "="
-    if case == "upgrade":
-        return tuple(z_set), ">"
-    if mode == "exclusive":
-        return tuple(z_set), "≠"
-    return tuple(x_set) + tuple(z_set), "≠"
+    sets, comparison = _taxonomy_row(case, mode)
+    named = {"X": x_set, "Z": z_set}
+    return tuple(p for s in sets for p in named[s]), comparison
 
 
 def final_label(case: str, mode: str) -> str:
     """Symbolic name of the final equivalence class for a (case, mode) pair."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if case == "duplicate" or (case == "downgrade" and mode == "inclusive"):
-        return "{X}"
-    if case == "innovation" and mode == "inclusive":
-        return "{X,Z}"
-    return "{Z}"
+    return "{" + ",".join(_taxonomy_row(case, mode)[0]) + "}"
 
 
 @dataclass(frozen=True)

@@ -626,6 +626,10 @@ def main(argv=None) -> int:
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             parser.error(f"--{name.replace('_', '-')} must be positive and finite")
+    if args.tol is not None and args.command == "discover":
+        parser.error("--tol does not apply to discover; use --fit-tol")
+    if args.tol is not None and getattr(args, "kind", "povm") != "povm":
+        parser.error("--tol applies only to --kind povm; other kinds check at fixed tolerances")
     try:
         return args.func(args)
     except ValueError as exc:  # includes SchemaError and all domain errors

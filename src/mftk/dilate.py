@@ -31,6 +31,7 @@ from .measure import (
     QuantumChannel,
     basis_state,
     computational_povm,
+    kraus_action,
 )
 from .opalg import CHECK_ATOL
 from .sicrep import SicPovm, SicProbVector, build_sic, povm_to_conditional, urgleichung
@@ -64,13 +65,9 @@ class DilationSpec:
 
 def _moved_probe_states(spec: DilationSpec, rhos: np.ndarray) -> np.ndarray:
     """Probe marginals of Phi(sigma (x) rho), batched over target states."""
-    n = rhos.shape[0]
-    d_s, d_t = spec.dim_s, spec.dim_t
-    dim = d_s * d_t
-    joint = np.einsum("ab,ncd->nacbd", spec.sigma.matrix, rhos).reshape(n, dim, dim)
-    out = np.zeros_like(joint)
-    for k in spec.phi.kraus:
-        out += k @ joint @ opalg.dagger(k)
+    n, d_s, d_t = len(rhos), spec.dim_s, spec.dim_t
+    joint = np.einsum("ab,ncd->nacbd", spec.sigma.matrix, rhos).reshape(n, d_s * d_t, d_s * d_t)
+    out = kraus_action(spec.phi.kraus, joint)
     return np.einsum("nsata->nst", out.reshape(n, d_s, d_t, d_s, d_t))
 
 
@@ -82,6 +79,17 @@ def apply_apparatus(spec: DilationSpec, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(dim=spec.dim_s, matrix=opalg.hermitize(reduced))
 
 
+def _induced_effects(spec: DilationSpec, y: Povm) -> np.ndarray:
+    """Effects Tr_S[(sigma (x) 1) Phi*(Y_z (x) 1)] induced on the target by
+    reading pointer ``y`` off the apparatus, stacked (n, dim_t, dim_t)."""
+    n, d_s, d_t = y.n_outcomes, spec.dim_s, spec.dim_t
+    eye_t = np.eye(d_t, dtype=complex)
+    lifted = np.einsum("xab,cd->xacbd", y.matrices(), eye_t).reshape(n, d_s * d_t, d_s * d_t)
+    heis = kraus_action([opalg.dagger(k) for k in spec.phi.kraus], lifted)
+    moved = np.kron(spec.sigma.matrix, eye_t) @ heis
+    return opalg.hermitize(np.einsum("xsasb->xab", moved.reshape(n, d_s, d_t, d_s, d_t)))
+
+
 def induced_povm(spec: DilationSpec) -> Povm:
     """The target-system measurement the apparatus actually performs.
 
@@ -89,17 +97,7 @@ def induced_povm(spec: DilationSpec) -> Povm:
     Heisenberg-picture adjoint sum_k K^dagger (.) K. Reading the pointer
     on the moved probe gives exactly these statistics on any input.
     """
-    eye_t = np.eye(spec.dim_t, dtype=complex)
-    prior = opalg.tensor(spec.sigma.matrix, eye_t)
-    mats = []
-    for e in spec.y.effects:
-        lifted = opalg.tensor(e.matrix, eye_t)
-        heis = np.zeros_like(lifted)
-        for k in spec.phi.kraus:
-            heis += opalg.dagger(k) @ lifted @ k
-        reduced = opalg.partial_trace(prior @ heis, spec.dim_s, spec.dim_t, keep="second")
-        mats.append(opalg.hermitize(reduced))
-    return Povm.from_matrices(spec.dim_t, mats, labels=spec.y.labels)
+    return Povm.from_matrices(spec.dim_t, _induced_effects(spec, spec.y), labels=spec.y.labels)
 
 
 @dataclass(frozen=True)
@@ -123,10 +121,9 @@ def is_generalized_dilation(
         )
     if z.dim != spec.dim_t:
         raise DimensionMismatchError(f"target POVM dim {z.dim} != dim_t {spec.dim_t}")
-    probe = spec if y is spec.y else DilationSpec(
-        sigma=spec.sigma, phi=spec.phi, y=y, dim_s=spec.dim_s, dim_t=spec.dim_t
-    )
-    residual = float(np.max(np.abs(induced_povm(probe).matrices() - z.matrices())))
+    if y.dim != spec.dim_s:
+        raise DimensionMismatchError(f"pointer POVM dim {y.dim} != dim_s {spec.dim_s}")
+    residual = float(np.max(np.abs(_induced_effects(spec, y) - z.matrices())))
     return DilationCheck(holds=residual <= tol, residual=residual)
 
 

@@ -30,10 +30,10 @@ class DensityMatrix:
         if m.shape != (self.dim, self.dim):
             raise DimensionMismatchError(f"state matrix is {m.shape}, dim says {self.dim}")
         if not opalg.is_hermitian(m, ROUNDOFF_ATOL):
-            raise NonHermitianError("state matrix is not Hermitian within 1e-10")
-        tr = np.trace(m).real
+            raise NonHermitianError(f"state matrix is not Hermitian within {ROUNDOFF_ATOL:g}")
+        tr = float(np.trace(m).real)
         if abs(tr - 1.0) > ROUNDOFF_ATOL:
-            raise ValueError(f"state trace {tr!r} differs from 1 beyond 1e-10")
+            raise ValueError(f"state trace {tr!r} differs from 1 beyond {ROUNDOFF_ATOL:g}")
         low = float(np.linalg.eigvalsh(m)[0])
         if low < -ROUNDOFF_ATOL:
             raise NotPositiveSemidefiniteError(f"state has eigenvalue {low:.3e}")
@@ -161,7 +161,7 @@ class OutcomeDistribution:
             raise ValueError(f"negative probability {p.min():.3e}")
         total = p.sum()
         if abs(total - 1.0) > ROUNDOFF_ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
         p.setflags(write=False)
@@ -341,21 +341,23 @@ def post_process(p: Povm, lam: StochasticMatrix, labels=None) -> Povm:
     return Povm.from_matrices(p.dim, list(new), labels=labels)
 
 
+def kraus_action(kraus, m) -> np.ndarray:
+    """sum_k K m K^dagger for one matrix or a (..., n, n) stack, summed in
+    Kraus order."""
+    return sum(k @ m @ opalg.dagger(k) for k in kraus)
+
+
 def apply_channel(phi: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Schroedinger-picture action: sum_k K rho K^dagger."""
     if rho.dim != phi.dim_in:
         raise DimensionMismatchError(f"state dim {rho.dim} != channel input dim {phi.dim_in}")
-    out = np.zeros((phi.dim_out, phi.dim_out), dtype=complex)
-    for k in phi.kraus:
-        out += k @ rho.matrix @ opalg.dagger(k)
+    out = kraus_action(phi.kraus, rho.matrix)
     return DensityMatrix(dim=phi.dim_out, matrix=opalg.hermitize(out))
 
 
 def random_state(dim: int, seed) -> DensityMatrix:
     """Ginibre-induced random density matrix, deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ opalg.dagger(g)
+    m = opalg.ginibre_grams(np.random.default_rng(seed), 1, dim)[0]
     return DensityMatrix(dim=dim, matrix=m / np.trace(m).real)
 
 
@@ -363,12 +365,8 @@ def random_povm(dim: int, n_outcomes: int, seed) -> Povm:
     """Random POVM from Ginibre blocks, symmetrized to exact completeness."""
     if n_outcomes < 1:
         raise ValueError("n_outcomes must be >= 1")
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(n_outcomes):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        blocks.append(g @ opalg.dagger(g))
-    return Povm.from_matrices(dim, opalg.normalize_effects(np.stack(blocks))[0])
+    blocks = opalg.ginibre_grams(np.random.default_rng(seed), n_outcomes, dim)
+    return Povm.from_matrices(dim, opalg.normalize_effects(blocks)[0])
 
 
 def random_channel(dim: int, n_kraus: int, seed) -> QuantumChannel:

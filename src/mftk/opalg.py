@@ -155,6 +155,14 @@ def psd_clip(h) -> np.ndarray:
     return hermitize((v * clipped[..., None, :]) @ dagger(v))
 
 
+def ginibre_grams(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n Ginibre Gram matrices G G^dag, shape (n, d, d); each complex Gaussian
+    G is drawn from ``rng`` as its real and then its imaginary d x d part."""
+    g = rng.standard_normal((n, 2, d, d))
+    g = g[:, 0] + 1j * g[:, 1]
+    return g @ dagger(g)
+
+
 def normalize_effects(blocks) -> tuple[np.ndarray, np.ndarray]:
     """Rescale PSD blocks B_j into effects S^{-1/2} B_j S^{-1/2} that sum
     to the identity, where S is the sum of the blocks.

@@ -13,7 +13,7 @@ measurement than with the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -21,7 +21,6 @@ from scipy.optimize import linprog
 from . import opalg
 from .errors import DimensionMismatchError, SolverError
 from .measure import (
-    DensityMatrix,
     OutcomeDistribution,
     Povm,
     StochasticMatrix,
@@ -63,28 +62,18 @@ def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
     nz, nx, ncoord = z.n_outcomes, x.n_outcomes, z_coords.shape[1]
     nvar = nx * nz + 1  # lambda entries (x-major) plus the slack t
 
-    rows_ub = []
-    rhs_ub = []
-    for ix in range(nx):
-        for k in range(ncoord):
-            row = np.zeros(nvar)
-            row[ix * nz : (ix + 1) * nz] = z_coords[:, k]
-            row[-1] = -1.0
-            rows_ub.append(row.copy())
-            rhs_ub.append(x_coords[ix, k])
-            row[: nx * nz] *= -1.0
-            rows_ub.append(row)
-            rhs_ub.append(-x_coords[ix, k])
-    rows_eq = []
-    for iz in range(nz):
-        row = np.zeros(nvar)
-        row[iz::nz][:nx] = 1.0
-        rows_eq.append(row)
+    # Rows (x outcome, coordinate k, sign): +-(sum_z lambda(x|z) Z_z,k - X_x,k) <= t,
+    # with lambda(x|.) in the x-th block of nz columns.
+    blocks = np.zeros((nx, ncoord, nx, nz))
+    blocks[np.arange(nx), :, np.arange(nx), :] = z_coords.T
+    a_ub = np.empty((nx, ncoord, 2, nvar))
+    a_ub[..., :-1] = blocks.reshape(nx, ncoord, 1, nx * nz) * [[1.0], [-1.0]]
+    a_ub[..., -1] = -1.0
     result = linprog(
         c=np.eye(nvar)[-1],
-        A_ub=np.array(rows_ub),
-        b_ub=np.array(rhs_ub),
-        A_eq=np.array(rows_eq),
+        A_ub=a_ub.reshape(-1, nvar),
+        b_ub=np.stack([x_coords, -x_coords], axis=-1).reshape(-1),
+        A_eq=np.hstack([np.tile(np.eye(nz), nx), np.zeros((nz, 1))]),  # columns of lambda sum to 1
         b_eq=np.ones(nz),
         bounds=[(0.0, 1.0)] * (nx * nz) + [(0.0, None)],
         method="highs",
@@ -190,8 +179,17 @@ class DecisionModel:
 
     def gain_matrix(self) -> np.ndarray:
         """Entry [x, w'] = sum_w u(w', w) q(x|w) P(w)."""
-        weighted = self.channel.entries * self.prior.probs[None, :]
-        return weighted @ self.utility.T
+        return _gains(self.channel.entries, self.prior.probs, self.utility)
+
+
+def _gains(channel: np.ndarray, prior: np.ndarray, utilities: np.ndarray) -> np.ndarray:
+    """``gain_matrix`` for one (guess, world) utility or a stack of them."""
+    return (channel * prior[None, :]) @ utilities.swapaxes(-1, -2)
+
+
+def _best_value(gain: np.ndarray) -> np.ndarray:
+    """Best guess per outcome, summed over outcomes, for each gain matrix of a stack."""
+    return gain.max(axis=-1).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def u_max(model: DecisionModel) -> UMaxResult:
     """
     gain = model.gain_matrix()
     picks = np.argmax(gain, axis=1)
-    value = float(gain[np.arange(gain.shape[0]), picks].sum())
+    value = float(_best_value(gain))
     strategy = StochasticMatrix.deterministic(
         picks, n_in=model.channel.n_out, n_out=model.utility.shape[0]
     )
@@ -230,15 +228,21 @@ def decision_model_for(
     """Decision problem where the worlds are preparations of a state family."""
     states = list(states)
     if prior is None:
-        prior = OutcomeDistribution(
-            labels=tuple(str(w) for w in range(len(states))),
-            probs=np.full(len(states), 1.0 / len(states)),
-        )
-    cols = [born_probabilities(rho, povm).probs for rho in states]
-    channel = StochasticMatrix(
-        n_in=len(states), n_out=povm.n_outcomes, entries=np.stack(cols, axis=1)
-    )
+        prior = _uniform_prior(len(states))
+    channel = _born_channel(povm, states)
     return DecisionModel(prior=prior, channel=channel, utility=np.asarray(utility, dtype=float))
+
+
+def _uniform_prior(n_worlds: int) -> OutcomeDistribution:
+    return OutcomeDistribution(
+        labels=tuple(str(w) for w in range(n_worlds)), probs=np.full(n_worlds, 1.0 / n_worlds)
+    )
+
+
+def _born_channel(povm: Povm, states: list) -> StochasticMatrix:
+    """Column w is the Born distribution of ``povm`` on ``states[w]``."""
+    cols = [born_probabilities(rho, povm).probs for rho in states]
+    return StochasticMatrix(n_in=len(states), n_out=povm.n_outcomes, entries=np.stack(cols, axis=1))
 
 
 @dataclass(frozen=True)
@@ -270,24 +274,20 @@ def blackwell_consistency(
     """
     states = list(state_family)
     geq = povm_geq(z, x, tol).holds
-    rng = np.random.default_rng(seed)
-    n_w = len(states)
     violations = []
     reversals = 0
-    # Only the utility changes from sample to sample, so each side's Born
-    # channel is computed once.
+    scores = ()  # (z side, x side) optimum per sampled utility
     if n_utilities:
-        model_z, model_x = (decision_model_for(p, states, np.zeros((n_w, n_w))) for p in (z, x))
-    for i in range(n_utilities):
-        utility = rng.uniform(0.0, 1.0, size=(n_w, n_w))
-        uz = u_max(replace(model_z, utility=utility)).value
-        ux = u_max(replace(model_x, utility=utility)).value
+        n_w = len(states)
+        prior = _uniform_prior(n_w).probs
+        utilities = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n_utilities, n_w, n_w))
+        scores = zip(*(_best_value(_gains(_born_channel(p, states).entries, prior, utilities))
+                       for p in (z, x)))
+    for i, (uz, ux) in enumerate(scores):
         if ux > uz + tol:
             reversals += 1
             if geq:
-                violations.append(
-                    f"utility {i}: post-processed side scored {ux:.6f} > {uz:.6f}"
-                )
+                violations.append(f"utility {i}: post-processed side scored {ux:.6f} > {uz:.6f}")
         elif geq and ux > uz + CHECK_ATOL:
             violations.append(f"utility {i}: monotonicity slack exceeded ({ux - uz:.3e})")
     return ConsistencyReport(

@@ -153,10 +153,10 @@ class SicProbVector:
         if p.min(initial=0.0) < -PROB_CLAMP:
             raise ValueError(f"negative reference probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > ROUNDOFF_ATOL:
-            raise ValueError(f"reference probabilities sum to {p.sum()!r}, not 1")
+            raise ValueError(f"reference probabilities sum to {float(p.sum())!r}, not 1")
         if p.max() > 1.0 / self.dim + ROUNDOFF_ATOL:
             raise NonQuantumProbabilityError(
-                f"non-quantum probability vector: entry {p.max()!r} exceeds 1/d"
+                f"non-quantum probability vector: entry {float(p.max())!r} exceeds 1/d"
             )
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
@@ -296,21 +296,12 @@ class DiscoveryResult:
 
 def _random_model(d, n_prep, counts, rng):
     """Random full-rank start: an (n_prep, d, d) state stack and one
-    (n_k, d, d) effect stack per measurement.
-
-    Every matrix is G G^dag for a complex Gaussian G, drawn as its real
-    then its imaginary d x d part, states first and then each effect set
-    in order.
+    (n_k, d, d) effect stack per measurement, drawn as Ginibre Gram
+    matrices, states first and then each effect set in order.
     """
-
-    def grams(n):
-        g = rng.standard_normal((n, 2, d, d))
-        g = g[:, 0] + 1j * g[:, 1]
-        return g @ opalg.dagger(g)
-
-    m = grams(n_prep)
+    m = opalg.ginibre_grams(rng, n_prep, d)
     states = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-    effect_sets = [opalg.normalize_effects(grams(n))[0] for n in counts]
+    effect_sets = [opalg.normalize_effects(opalg.ginibre_grams(rng, n, d))[0] for n in counts]
     return states, effect_sets
 
 

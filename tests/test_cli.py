@@ -106,6 +106,26 @@ def test_validate_state_kind(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_validate_state_error_prints_plain_numbers(tmp_path, capsys):
+    obj = state_to_obj(basis_state(2, 1))
+    obj["matrix"][0][0] = [1e-9, 0.0]  # trace 1 + 1e-9
+    bad = _write(tmp_path, "s.json", obj)
+    assert main(["validate", bad, "--kind", "state", "--json"]) == 2
+    out = _json_out(capsys)
+    assert out == {"error": "state: state trace 1.000000001 differs from 1 beyond 1e-10"}
+
+
+@pytest.mark.parametrize("kind", ["state", "channel", "dilation", "sic", "table", "agent"])
+def test_tol_outside_povm_validation_is_a_usage_error(tmp_path, capsys, kind):
+    state = _write(tmp_path, "s.json", state_to_obj(basis_state(2, 1)))
+    with pytest.raises(SystemExit) as err:
+        main(["validate", state, "--kind", kind, "--tol", "1e-6", "--json"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol applies only to --kind povm" in captured.err
+
+
 def test_error_reporting_streams(tmp_path, capsys):
     code = main(["validate", str(tmp_path / "missing.json")])
     assert code == 2
@@ -341,3 +361,15 @@ def test_malformed_fit_tol_rejected(tmp_path, capsys, value):
         main(["discover", "--table", table_file, "--fit-tol", value, "--json"])
     assert err.value.code == 1
     assert capsys.readouterr().out == ""
+
+
+def test_tol_on_discover_points_to_fit_tol(tmp_path, capsys):
+    states = [basis_state(2, 0), basis_state(2, 1), random_state(2, seed=92)]
+    table = ProbabilityTable.from_model(states, [computational_povm(2), xbasis_povm()])
+    table_file = _write(tmp_path, "table.json", table_to_obj(table, dim_hint=2))
+    with pytest.raises(SystemExit) as err:
+        main(["discover", "--table", table_file, "--tol", "1e-3", "--json"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "use --fit-tol" in captured.err

@@ -100,6 +100,13 @@ def test_outcome_distribution_clamps_round_off():
     np.testing.assert_allclose(q.probs.sum(), 1.0)
 
 
+def test_value_type_errors_print_plain_numbers():
+    with pytest.raises(ValueError, match=r"^state trace 1\.5 differs from 1 beyond 1e-10$"):
+        DensityMatrix(dim=2, matrix=np.diag([1.0, 0.5]))
+    with pytest.raises(ValueError, match=r"^probabilities sum to 1\.1, not 1$"):
+        OutcomeDistribution(labels=("a", "b"), probs=[0.5, 0.6])
+
+
 def test_outcome_distribution_rejections():
     with pytest.raises(ValueError):
         OutcomeDistribution(labels=("a", "b"), probs=np.array([1.1, -0.1]))

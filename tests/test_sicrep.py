@@ -98,6 +98,13 @@ def test_sic_prob_vector_rejections():
         SicProbVector(dim=2, probs=np.array([0.5, 0.5]))
 
 
+def test_sic_prob_vector_errors_print_plain_numbers():
+    with pytest.raises(ValueError, match=r"^reference probabilities sum to 1\.3, not 1$"):
+        SicProbVector(dim=2, probs=np.array([0.5, 0.5, 0.2, 0.1]))
+    with pytest.raises(NonQuantumProbabilityError, match=r"entry 0\.6 exceeds 1/d$"):
+        SicProbVector(dim=2, probs=np.array([0.6, 0.4, 0.0, 0.0]))
+
+
 def test_probs_state_round_trip():
     sic = build_sic(2)
     for i in range(10):
