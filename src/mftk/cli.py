@@ -334,7 +334,7 @@ def _cmd_discover(args) -> int:
             raise SchemaError("--scan-dim", "expected MIN..MAX")
         if not dims or dims[0] < 1:
             raise SchemaError("--scan-dim", "range must start at 1 or above")
-    elif args.dim:
+    elif args.dim is not None:
         dims = [args.dim]
     elif dim_hint:
         dims = [dim_hint]
@@ -626,6 +626,10 @@ def main(argv=None) -> int:
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             parser.error(f"--{name.replace('_', '-')} must be positive and finite")
+    for name in ("restarts", "max_iters"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            parser.error(f"--{name.replace('_', '-')} must be at least 1")
     if args.tol is not None and args.command == "discover":
         parser.error("--tol does not apply to discover; use --fit-tol")
     if args.tol is not None and getattr(args, "kind", "povm") != "povm":

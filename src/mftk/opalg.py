@@ -150,7 +150,13 @@ def psd_clip(h) -> np.ndarray:
     Takes one matrix or a (..., n, n) stack, which is diagonalized in a
     single batched ``eigh`` call.
     """
-    eigenvalues, v = np.linalg.eigh(hermitize(as_matrix_stack(h)))
+    return _psd_clip(hermitize(as_matrix_stack(h)))
+
+
+def _psd_clip(h: np.ndarray) -> np.ndarray:
+    """``psd_clip`` without its checks, for a complex stack that is already
+    finite and exactly Hermitian (as ``HermitianBasis._matrix`` returns)."""
+    eigenvalues, v = np.linalg.eigh(h)
     clipped = np.clip(eigenvalues, 0.0, None)
     return hermitize((v * clipped[..., None, :]) @ dagger(v))
 
@@ -204,8 +210,7 @@ class HermitianBasis:
         d = self.dim
         if h.shape[-1] != d:
             raise DimensionMismatchError(f"matrices are {h.shape[-2:]}, basis is {d} x {d}")
-        # Tr(B_k h) = sum_ij conj(B_k)_ij h_ij, since every B_k is Hermitian.
-        return (h.reshape(*h.shape[:-2], d * d) @ self._transform.conj().T).real
+        return self._coords(h)
 
     def matrix(self, coords) -> np.ndarray:
         """Reassemble Hermitian matrices from real coefficients of shape (..., d^2)."""
@@ -215,6 +220,18 @@ class HermitianBasis:
             raise DimensionMismatchError(
                 f"coordinates have shape {coords.shape}, need (..., {d * d})"
             )
+        return self._matrix(coords)
+
+    def _coords(self, h: np.ndarray) -> np.ndarray:
+        """``coords`` without its checks, for a finite complex (..., d, d) stack."""
+        d = self.dim
+        # Tr(B_k h) = sum_ij conj(B_k)_ij h_ij, since every B_k is Hermitian.
+        return (h.reshape(*h.shape[:-2], d * d) @ self._transform.conj().T).real
+
+    def _matrix(self, coords: np.ndarray) -> np.ndarray:
+        """``matrix`` without its checks, for a real (..., d^2) array; the
+        result is exactly Hermitian."""
+        d = self.dim
         return (coords @ self._transform).reshape(*coords.shape[:-1], d, d)
 
 

@@ -234,6 +234,8 @@ def decision_model_for(
 
 
 def _uniform_prior(n_worlds: int) -> OutcomeDistribution:
+    if n_worlds < 1:
+        raise ValueError("the state family is empty: a uniform prior needs at least one state")
     return OutcomeDistribution(
         labels=tuple(str(w) for w in range(n_worlds)), probs=np.full(n_worlds, 1.0 / n_worlds)
     )

@@ -306,10 +306,10 @@ def _random_model(d, n_prep, counts, rng):
 
 
 def _project_states(m):
-    """PSD-clip each matrix in a stack and renormalize its trace; a matrix
-    with nothing positive left becomes maximally mixed."""
+    """PSD-clip each matrix in an exactly Hermitian stack and renormalize
+    its trace; a matrix with nothing positive left becomes maximally mixed."""
     d = m.shape[-1]
-    out = opalg.psd_clip(m)
+    out = opalg._psd_clip(m)
     traces = np.trace(out, axis1=-2, axis2=-1).real
     empty = traces <= 0
     out = out / np.where(empty, 1.0, traces)[..., None, None]
@@ -318,12 +318,12 @@ def _project_states(m):
 
 
 def _project_effects(effects):
-    """PSD-clip an (n, d, d) effect stack, spread its completeness excess
-    evenly over the n effects, and clip again."""
+    """PSD-clip exactly Hermitian (..., n, d, d) effect sets, spread each
+    set's completeness excess evenly over its n effects, and clip again."""
     d = effects.shape[-1]
-    effects = opalg.psd_clip(effects)
-    excess = (effects.sum(axis=0) - np.eye(d)) / len(effects)
-    return opalg.psd_clip(effects - excess)
+    effects = opalg._psd_clip(effects)
+    excess = (effects.sum(axis=-3) - np.eye(d)) / effects.shape[-3]
+    return opalg._psd_clip(effects - excess[..., None, :, :])
 
 
 def _repair_model(table, d, states, effect_sets):
@@ -433,6 +433,115 @@ def _polish_model(d, states, effect_sets, q_arrays):
     return opalg.hermitize(out_states), out_effects
 
 
+def _restart_batch(table, basis, restarts, max_iters, tol, seed):
+    """Run the alternating descent of ``discover_system`` from the random
+    starts of ``restarts`` (ascending restart indices) as one batch.
+
+    Slot i of every stack holds restart ``restarts[i]``: the states are one
+    (b, n_prep, d^2) coordinate array, and the measurements with equal
+    outcome count n form one (b, K, n, d^2) array, so each step is taken by
+    all restarts and all such measurements at once. Every slot keeps its own
+    line-search masks, objective history, stall counter and hand-over, and
+    leaves the batch where a run of its own would have stopped; once a slot
+    has fit the table inside the loop, every later slot leaves too. Yields
+    (restart, repaired model or None) in restart order, ending at the first
+    repaired model that fits within ``tol``.
+    """
+    b = len(restarts)
+    if b == 0:
+        return
+    d = basis.dim
+    n_prep = table.n_preparations
+    counts = table.outcome_counts()
+    q_arrays = table.as_arrays()
+    q_rows = np.hstack(q_arrays)  # row m: every table entry of preparation m
+    sizes = list(dict.fromkeys(counts))
+    groups = [[k for k, n in enumerate(counts) if n == size] for size in sizes]
+    # Measurement k is ys[g][:, j]: group g of its outcome count, j-th in it.
+    where = [(sizes.index(n), counts[:k].count(n)) for k, n in enumerate(counts)]
+    q_groups = [np.stack([q_arrays[k] for k in ks]) for ks in groups]  # (K, n_prep, n)
+
+    starts = [_random_model(d, n_prep, counts, np.random.default_rng([seed, r]))
+              for r in restarts]
+    x = basis._coords(np.stack([states for states, _ in starts]))
+    ys = [basis._coords(np.array([[sets[k] for k in ks] for _, sets in starts]))
+          for ks in groups]
+
+    def model_at(i):
+        return basis._matrix(x[i]), [basis._matrix(ys[g][i, j]) for g, j in where]
+
+    live = np.ones(b, dtype=bool)
+    prev_obj = np.full(b, np.inf)
+    raw_worst = np.full(b, np.inf)
+    stall = np.zeros(b, dtype=int)
+    fitted = None  # (slot, model) of the lowest restart that fit inside the loop
+    for it in range(max_iters):
+        # Fit all states against fixed effects. Rows of e are effect
+        # coordinates, so x @ e^T are the predicted probabilities. A state
+        # whose step direction vanishes takes no further step.
+        e = np.concatenate([ys[g][:, j] for g, j in where], axis=1)
+        e_t = e.swapaxes(-1, -2)
+        active = np.repeat(live[:, None], n_prep, axis=1)
+        for _ in range(2):
+            resid = x @ e_t - q_rows
+            grad = resid @ e
+            step_dir = grad @ e_t
+            denom = np.sum(step_dir * step_dir, axis=-1)
+            active &= denom > 0
+            if not active.any():
+                break
+            step = np.sum(resid * step_dir, axis=-1)[active] / denom[active]
+            moved = x[active] - step[:, None] * grad[active]
+            x[active] = basis._coords(_project_states(basis._matrix(moved)))
+
+        # Fit each measurement against fixed states; a measurement whose
+        # step direction vanishes takes no further step.
+        xs = x[:, None]
+        for y, q in zip(ys, q_groups):
+            active = np.repeat(live[:, None], y.shape[1], axis=1)
+            for _ in range(2):
+                resid = xs @ y.swapaxes(-1, -2) - q  # (b, K, m, j)
+                grad = resid.swapaxes(-1, -2) @ xs  # (b, K, j, n_basis)
+                dq = xs @ grad.swapaxes(-1, -2)
+                denom = np.sum(dq * dq, axis=(-2, -1))
+                active &= denom > 0
+                if not active.any():
+                    break
+                step = np.sum(resid * dq, axis=(-2, -1))[active] / denom[active]
+                moved = y[active] - step[:, None, None] * grad[active]
+                y[active] = basis._coords(_project_effects(basis._matrix(moved)))
+
+        resids = [xs @ y.swapaxes(-1, -2) - q for y, q in zip(ys, q_groups)]
+        squares = [np.sum(r * r, axis=(-2, -1)) for r in resids]
+        obj = sum(squares[g][:, j] for g, j in where)  # summed in measurement order
+        worst = np.max([np.max(np.abs(r), axis=(-3, -2, -1)) for r in resids], axis=0)
+        raw_worst[live] = worst[live]
+
+        check = live & (worst < tol) & ((it % 5 == 0) | (prev_obj - obj < 1e-14))
+        for i in np.flatnonzero(check):
+            found = _repair_model(table, d, *model_at(i))
+            if found is not None and found[0] <= tol:
+                fitted = (i, found)
+                live[i:] = False
+                break
+        handover = (worst < 1e-2) & (it >= 25)  # to the terminal refinement below
+        stall = np.where(prev_obj - obj < 1e-14 + 1e-9 * obj, stall + 1, 0)
+        live &= ~handover & (stall < 10)
+        prev_obj = obj
+        if not live.any():
+            break
+
+    for i, restart in enumerate(restarts):
+        if fitted is not None and fitted[0] == i:
+            yield restart, fitted[1]
+            return
+        states, effect_sets = model_at(i)
+        if raw_worst[i] < 1e-2:
+            # Close enough that terminal refinement is worth the call.
+            states, effect_sets = _polish_model(d, states, effect_sets, q_arrays)
+        yield restart, _repair_model(table, d, states, effect_sets)
+
+
 def discover_system(
     table: ProbabilityTable,
     d: int,
@@ -448,95 +557,34 @@ def discover_system(
     measurements fixed the objective is quadratic in each state, and an
     exact line search along the gradient is available; likewise for the
     effects with states fixed. The iterate lives in Hermitian-basis
-    coordinates: one (n_prep, d^2) array for the states, one (n_k, d^2)
-    array per measurement, so all states take their line-search steps
-    together. States are projected back to the PSD unit-trace set by
-    eigenvalue clipping and trace renormalization; effects by PSD
-    clipping followed by spreading the completeness excess evenly; each
-    projection is one batched eigendecomposition. Iterates that come
-    within 1e-2 of the table are finished by ``_polish_model``. A
-    candidate is only reported feasible after being rounded to an
-    exactly valid model that still reproduces every table entry within
-    ``tol``, so feasible verdicts are sound by construction; infeasible
-    verdicts only mean no restart converged.
+    coordinates: one (n_prep, d^2) array for the states and one (n_k, d^2)
+    array per measurement. States are projected back to the PSD unit-trace
+    set by eigenvalue clipping and trace renormalization; effects by PSD
+    clipping followed by spreading the completeness excess evenly. Iterates
+    that come within 1e-2 of the table are finished by ``_polish_model``.
+
+    Restart 1 runs alone; if it fails, restarts 2..``restarts`` run as one
+    batch (``_restart_batch``), and the answer is still the lowest-numbered
+    restart that succeeds, so ``restarts_used`` and the best residual mean
+    what a one-by-one run would give. A candidate is only reported feasible
+    after being rounded to an exactly valid model that still reproduces
+    every table entry within ``tol``, so feasible verdicts are sound by
+    construction; infeasible verdicts only mean no restart converged.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    counts = table.outcome_counts()
-    q_arrays = table.as_arrays()
-    q_rows = np.hstack(q_arrays)  # row m: every table entry of preparation m
     basis = opalg.hermitian_basis(d)
-    n_prep = table.n_preparations
-
+    n_restarts = max(1, restarts)
     best = None  # (residual, states, povms)
-    for restart in range(max(1, restarts)):
-        rng = np.random.default_rng([seed, restart])
-        states, effect_sets = _random_model(d, n_prep, counts, rng)
-        x = basis.coords(states)
-        ys = [basis.coords(effects) for effects in effect_sets]
-        prev_obj = np.inf
-        raw_worst = np.inf
-        stall = 0
-        for it in range(max_iters):
-            # Fit all states against fixed effects. Rows of A are effect
-            # coordinates, so x @ A.T are the predicted probabilities. A
-            # state whose step direction vanishes takes no further step.
-            a_rows = np.vstack(ys)
-            active = np.ones(n_prep, dtype=bool)
-            for _ in range(2):
-                resid = x @ a_rows.T - q_rows
-                grad = resid @ a_rows
-                step_dir = grad @ a_rows.T
-                denom = np.sum(step_dir * step_dir, axis=1)
-                active &= denom > 0
-                if not active.any():
-                    break
-                step = np.sum(resid * step_dir, axis=1)[active] / denom[active]
-                moved = x[active] - step[:, None] * grad[active]
-                x[active] = basis.coords(_project_states(basis.matrix(moved)))
-
-            # Fit each measurement against fixed states.
-            for k, y in enumerate(ys):
-                for _ in range(2):
-                    resid = x @ y.T - q_arrays[k]  # (m, j)
-                    grad = resid.T @ x  # (j, n_basis)
-                    dq = x @ grad.T
-                    denom = float(np.sum(dq * dq))
-                    if denom <= 0:
-                        break
-                    y = y - (float(np.sum(resid * dq)) / denom) * grad
-                    y = basis.coords(_project_effects(basis.matrix(y)))
-                ys[k] = y
-
-            resids = [x @ y.T - q for y, q in zip(ys, q_arrays)]
-            obj = sum(float(np.sum(r * r)) for r in resids)
-            raw_worst = max(float(np.max(np.abs(r))) for r in resids)
-
-            if raw_worst < tol and (it % 5 == 0 or prev_obj - obj < 1e-14):
-                found = _repair_model(table, d, basis.matrix(x), [basis.matrix(y) for y in ys])
-                if found is not None and found[0] <= tol:
-                    return DiscoveryResult(True, found[1], found[2], found[0], restart + 1)
-            if raw_worst < 1e-2 and it >= 25:
-                break  # hand over to the terminal refinement below
-            if prev_obj - obj < 1e-14 + 1e-9 * obj:
-                stall += 1
-                if stall >= 10:
-                    break
-            else:
-                stall = 0
-            prev_obj = obj
-
-        states, effect_sets = basis.matrix(x), [basis.matrix(y) for y in ys]
-        if raw_worst < 1e-2:
-            # Close enough that terminal refinement is worth the call.
-            states, effect_sets = _polish_model(d, states, effect_sets, q_arrays)
-        found = _repair_model(table, d, states, effect_sets)
-        if found is not None:
+    for batch in (range(1), range(1, n_restarts)):
+        for restart, found in _restart_batch(table, basis, batch, max_iters, tol, seed):
+            if found is None:
+                continue
             if found[0] <= tol:
                 return DiscoveryResult(True, found[1], found[2], found[0], restart + 1)
             if best is None or found[0] < best[0]:
                 best = found
 
     if best is None:
-        return DiscoveryResult(False, (), (), np.inf, max(1, restarts))
-    return DiscoveryResult(False, best[1], best[2], best[0], max(1, restarts))
+        return DiscoveryResult(False, (), (), np.inf, n_restarts)
+    return DiscoveryResult(False, best[1], best[2], best[0], n_restarts)

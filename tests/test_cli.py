@@ -363,6 +363,32 @@ def test_malformed_fit_tol_rejected(tmp_path, capsys, value):
     assert capsys.readouterr().out == ""
 
 
+def _hinted_qubit_table(tmp_path):
+    states = [basis_state(2, 0), basis_state(2, 1), random_state(2, seed=92)]
+    table = ProbabilityTable.from_model(states, [computational_povm(2), xbasis_povm()])
+    return _write(tmp_path, "table.json", table_to_obj(table, dim_hint=2))
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_discover_nonpositive_dim_is_an_error(tmp_path, capsys, value):
+    # --dim 0 is not "no --dim": it must not fall back to the table's hint.
+    table_file = _hinted_qubit_table(tmp_path)
+    assert main(["discover", "--table", table_file, "--dim", value, "--json"]) == 2
+    assert _json_out(capsys) == {"error": "dimension must be >= 1"}
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
+@pytest.mark.parametrize("value", ["0", "-1", "-4"])
+def test_discover_nonpositive_search_budget_rejected(tmp_path, capsys, flag, value):
+    table_file = _hinted_qubit_table(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["discover", "--table", table_file, flag, value, "--json"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be at least 1" in captured.err
+
+
 def test_tol_on_discover_points_to_fit_tol(tmp_path, capsys):
     states = [basis_state(2, 0), basis_state(2, 1), random_state(2, seed=92)]
     table = ProbabilityTable.from_model(states, [computational_povm(2), xbasis_povm()])

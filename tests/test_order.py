@@ -251,6 +251,11 @@ def test_decision_model_for_uses_born_statistics():
         )
 
 
+def test_decision_model_for_rejects_an_empty_state_family():
+    with pytest.raises(ValueError, match="state family is empty"):
+        decision_model_for(computational_povm(2), [], np.zeros((2, 0)))
+
+
 # -------------------------------------------------------------- blackwell
 
 def test_blackwell_witnessed_pair_is_monotone():
@@ -279,6 +284,11 @@ def test_blackwell_vacuous():
         computational_povm(2), xbasis_povm(), family, n_utilities=0, seed=0
     )
     assert report.vacuous and report.consistent
+
+
+def test_blackwell_rejects_an_empty_state_family():
+    with pytest.raises(ValueError, match="state family is empty"):
+        blackwell_consistency(computational_povm(2), xbasis_povm(), [], n_utilities=3)
 
 
 def _failing_linprog(*args, **kwargs):

@@ -25,7 +25,8 @@ from mftk import (
     urgleichung,
     validate_povm,
 )
-from mftk.sicrep import _polish_jacobian, _polish_residuals, _repair_model
+from mftk import opalg
+from mftk.sicrep import _polish_jacobian, _polish_residuals, _repair_model, _restart_batch
 from mftk.errors import (
     DimensionMismatchError,
     InconsistentPairError,
@@ -346,6 +347,97 @@ def test_discover_verdicts_are_pinned():
         assert (result.feasible, result.restarts_used) == (False, 5)
         # The best repaired model misses by (2 - sqrt 2) / 4 on every run.
         assert result.residual == pytest.approx((2 - np.sqrt(2)) / 4, abs=1e-9)
+
+
+def _contradictory_table():
+    # Acceptance #8's table: measurement A makes preparation 3 coincide with
+    # preparation 1, measurement B separates them deterministically.
+    rows_a = [[1, 0], [0, 1], [1, 0], [0, 1]]
+    rows_b = [[1, 0], [0, 1], [0, 1], [1, 0]]
+    return ProbabilityTable(
+        n_preparations=4,
+        measurement_labels=("A", "B"),
+        distributions=tuple(
+            tuple(OutcomeDistribution(("0", "1"), np.array(p, float)) for p in rows)
+            for rows in (rows_a, rows_b)
+        ),
+    )
+
+
+# (d, n_prep, trial, max_iters, restarts) -> (restarts_used, residual), as
+# recorded when restarts ran one after another. Run alone, restart by
+# restart, the first table fits at restarts 2, 4 and 5 of 5 and the second
+# at restarts 4 and 5 of 6, so each has a failure before its first success
+# and a later success that must not win.
+_BATCH_ORDER_PINS = {
+    (3, 4, 7, 8, 5): (2, 4.196268332812281e-12),
+    (2, 3, 2, 3, 6): (4, 6.036282584886976e-13),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_ORDER_PINS))
+def test_batched_restarts_answer_with_the_lowest_success(case):
+    d, n_prep, trial, max_iters, restarts = case
+    used, residual = _BATCH_ORDER_PINS[case]
+    table = _hidden_model_table(d, n_prep, trial)
+    result = discover_system(table, d, max_iters=max_iters, restarts=restarts, seed=trial)
+    assert (result.feasible, result.restarts_used, result.residual) == (True, used, residual)
+    # Every restart before the winner fails ...
+    before = discover_system(table, d, max_iters=max_iters, restarts=used - 1, seed=trial)
+    assert (before.feasible, before.restarts_used) == (False, used - 1)
+    # ... and a later one would also fit.
+    later = _restart_batch(table, opalg.hermitian_basis(d), range(used, restarts),
+                           max_iters, 1e-6, trial)
+    assert any(found is not None and found[0] <= 1e-6 for _, found in later)
+
+
+def _mixed_count_table():
+    # Three orthogonal qutrit states, which no qubit model holds, seen
+    # through measurements of 2, 3 and 2 outcomes: a qubit search steps two
+    # stacks of measurements.
+    states = [basis_state(3, m) for m in range(3)] + [random_state(3, seed=43)]
+    povms = [random_povm(3, 2, seed=44), computational_povm(3), random_povm(3, 2, seed=45)]
+    return ProbabilityTable.from_model(states, povms)
+
+
+@pytest.mark.parametrize("make_table", [_contradictory_table, _mixed_count_table])
+def test_each_restart_in_a_batch_runs_as_it_would_alone(make_table):
+    table, basis = make_table(), opalg.hermitian_basis(2)
+    together = list(_restart_batch(table, basis, range(1, 5), 60, 1e-6, 3))
+    alone = [next(_restart_batch(table, basis, range(r, r + 1), 60, 1e-6, 3))
+             for r in range(1, 5)]
+    assert [r for r, _ in together] == [r for r, _ in alone] == [1, 2, 3, 4]
+    for (_, a), (_, b) in zip(together, alone):
+        assert a[0] > 1e-6 and a[0] == pytest.approx(b[0], rel=0, abs=1e-12)
+        for rho_a, rho_b in zip(a[1], b[1]):
+            np.testing.assert_allclose(rho_a.matrix, rho_b.matrix, rtol=0, atol=1e-12)
+
+
+def test_discovery_loop_skips_validation(monkeypatch):
+    # The descent runs on unchecked kernels: calls to the checked public
+    # entry points come from start-up and repair only, a few per restart
+    # (a loop that called them on every step made 5775 such calls on this
+    # run), while the loop clips through the kernel far more often.
+    calls = {"checked": 0, "kernel": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(opalg, "as_matrix_stack", counted(opalg.as_matrix_stack, "checked"))
+    monkeypatch.setattr(opalg, "psd_clip", counted(opalg.psd_clip, "checked"))
+    monkeypatch.setattr(opalg, "_psd_clip", counted(opalg._psd_clip, "kernel"))
+    for name in ("coords", "matrix"):
+        method = getattr(opalg.HermitianBasis, name)
+        monkeypatch.setattr(opalg.HermitianBasis, name, counted(method, "checked"))
+    restarts = 5
+    result = discover_system(_contradictory_table(), 2, restarts=restarts, seed=0)
+    assert (result.feasible, result.restarts_used) == (False, restarts)
+    bound = 8 * restarts
+    assert calls["checked"] <= bound
+    assert calls["kernel"] > 5 * bound
 
 
 def test_repair_rejects_a_vanishing_effect_set():
