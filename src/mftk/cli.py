@@ -61,7 +61,13 @@ def _matrix_lines(m, indent: str = "  ") -> list[str]:
     return out
 
 
-def _emit(args, obj: dict, lines: list[str]) -> None:
+def _emit(args, obj: dict, lines: list[str], saved: dict | None = None) -> None:
+    """Print ``obj`` (with --json) or ``lines``. With --out, first write
+    ``saved`` there (``obj`` if not given) and report it in ``lines``."""
+    out = getattr(args, "out", None)
+    if out:
+        fileio.save_json(out, obj if saved is None else saved)
+        lines = lines + [f"written to {out}"]
     if args.json:
         sys.stdout.write(fileio.dump_json(obj))
     else:
@@ -80,9 +86,9 @@ def _tol(args, default: float) -> float:
 
 
 def _load_sic(args) -> sicrep.SicPovm:
-    if getattr(args, "sic", None):
+    if args.sic:
         return fileio.sic_from_obj(fileio.load_json(args.sic))
-    if getattr(args, "dim", None):
+    if args.dim is not None:
         return sicrep.build_sic(args.dim)
     raise SchemaError("arguments", "need --sic FILE or --dim D to fix the reference measurement")
 
@@ -119,13 +125,10 @@ def _cmd_born(args) -> int:
 
 def _cmd_sic_build(args) -> int:
     sic = sicrep.build_sic(args.dim)
-    obj = fileio.sic_to_obj(sic)
-    if args.out:
-        fileio.save_json(args.out, obj)
-    _emit(args, obj, [
+    _emit(args, fileio.sic_to_obj(sic), [
         f"reference measurement, dim {sic.dim}: {sic.povm.n_outcomes} effects",
         f"pairwise overlap 1/(d+1) = {_fmt(1.0 / (sic.dim + 1))}",
-    ] + ([f"written to {args.out}"] if args.out else []))
+    ])
     return 0
 
 
@@ -133,34 +136,23 @@ def _cmd_sic_probs(args) -> int:
     sic = _load_sic(args)
     rho = fileio.state_from_obj(fileio.load_json(args.state))
     p = sicrep.state_to_sic_probs(rho, sic)
-    obj = {"dim": p.dim, "probs": [float(v) for v in p.probs]}
-    _emit(args, obj, [f"  p({i}) = {_fmt(v)}" for i, v in enumerate(p.probs)])
+    _emit(args, fileio.sic_probs_to_obj(p),
+          [f"  p({i}) = {_fmt(v)}" for i, v in enumerate(p.probs)])
     return 0
-
-
-def _parse_probs(args) -> list[float]:
-    if args.probs is not None:
-        try:
-            return [float(tok) for tok in args.probs.split(",")]
-        except ValueError:
-            raise SchemaError("--probs", "expected comma-separated numbers")
-    obj = fileio.load_json(args.probs_file)
-    if isinstance(obj, dict):
-        obj = obj.get("probs", obj)
-    if not isinstance(obj, list):
-        raise SchemaError("probs", 'expected an array or an object with a "probs" field')
-    return [float(v) for v in obj]
 
 
 def _cmd_sic_state(args) -> int:
     sic = _load_sic(args)
-    values = _parse_probs(args)
-    p = sicrep.SicProbVector(dim=sic.dim, probs=np.array(values))
+    if args.probs is not None:
+        try:
+            values = np.array([float(tok) for tok in args.probs.split(",")])
+        except ValueError:
+            raise SchemaError("--probs", "expected comma-separated numbers")
+    else:
+        values, _ = fileio.sic_probs_from_obj(fileio.load_json(args.probs_file))
+    p = sicrep.SicProbVector(dim=sic.dim, probs=values)
     rho = sicrep.sic_probs_to_state(p, sic)
-    obj = fileio.state_to_obj(rho)
-    if args.out:
-        fileio.save_json(args.out, obj)
-    _emit(args, obj, ["reconstructed state:"] + _matrix_lines(rho.matrix))
+    _emit(args, fileio.state_to_obj(rho), ["reconstructed state:"] + _matrix_lines(rho.matrix))
     return 0
 
 
@@ -175,14 +167,8 @@ def _conditional_inputs(args):
     if raw:
         if args.p_file is None or args.r_file is None:
             raise SchemaError("arguments", "--p-file and --r-file go together")
-        p_obj = fileio.load_json(args.p_file)
-        dim = p_obj.get("dim") if isinstance(p_obj, dict) else None
-        if not isinstance(dim, int):
-            raise SchemaError("p.dim", "probability file needs an integer dim")
-        probs = p_obj.get("probs")
-        if not isinstance(probs, list):
-            raise SchemaError("p.probs", "probability file needs a probs array")
-        p = sicrep.SicProbVector(dim=dim, probs=np.array([float(v) for v in probs]))
+        probs, dim = fileio.sic_probs_from_obj(fileio.load_json(args.p_file), "p")
+        p = sicrep.SicProbVector(dim=dim, probs=probs)
         r = fileio.stochastic_from_obj(fileio.load_json(args.r_file))
         return p, r, None
     if args.state is None or args.povm is None:
@@ -195,15 +181,9 @@ def _conditional_inputs(args):
     return p, r, target.labels
 
 
-def _cmd_urgleichung(args) -> int:
+def _cmd_update(args) -> int:
     p, r, labels = _conditional_inputs(args)
-    _distribution_output(args, sicrep.urgleichung(p, r, labels=labels))
-    return 0
-
-
-def _cmd_classical(args) -> int:
-    p, r, labels = _conditional_inputs(args)
-    _distribution_output(args, sicrep.classical_rule(p, r, labels=labels))
+    _distribution_output(args, args.rule(p, r, labels=labels))
     return 0
 
 
@@ -254,13 +234,10 @@ def _cmd_dilate_naimark(args) -> int:
     z = fileio.povm_from_obj(fileio.load_json(args.povm))
     spec = dilate.naimark_construct(z)
     check = dilate.is_generalized_dilation(spec.y, z, spec)
-    obj = fileio.dilation_to_obj(spec)
-    if args.out:
-        fileio.save_json(args.out, obj)
-    _emit(args, obj, [
+    _emit(args, fileio.dilation_to_obj(spec), [
         f"probe dim {spec.dim_s}, target dim {spec.dim_t}",
         f"self-check residual {_fmt(check.residual)}",
-    ] + ([f"written to {args.out}"] if args.out else []))
+    ])
     return 0
 
 
@@ -299,25 +276,9 @@ def _cmd_dilate_probcheck(args) -> int:
 
 
 def _cmd_tuned(args) -> int:
-    obj = fileio.load_json(args.claims)
-    pairs_obj = obj.get("pairs") if isinstance(obj, dict) else None
-    if not isinstance(pairs_obj, list):
-        raise SchemaError("claims.pairs", "expected an array of {y, z, spec} objects")
-    pairs = []
-    specs = []
-    for i, entry in enumerate(pairs_obj):
-        here = f"claims.pairs[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(here, "expected an object")
-        y = fileio.povm_from_obj(entry.get("y"), f"{here}.y")
-        z = fileio.povm_from_obj(entry.get("z"), f"{here}.z")
-        spec = fileio.dilation_from_obj(entry.get("spec"), f"{here}.spec")
-        pairs.append((y, z))
-        specs.append(spec)
+    pairs, specs = fileio.claims_from_obj(fileio.load_json(args.claims))
     cert = dilate.verify_tuned(pairs, specs, _tol(args, CHECK_ATOL))
     payload = fileio.certificate_to_obj(cert)
-    if args.out:
-        fileio.save_json(args.out, payload)
     lines = [f"tuned: {cert.tuned}" + (" (vacuous)" if cert.vacuous else "")]
     lines += [f"  pair {i}: residual {_fmt(p.residual)}" for i, p in enumerate(cert.pairs)]
     _emit(args, payload, lines)
@@ -382,11 +343,7 @@ def _cmd_agent_classify(args) -> int:
         cert = fileio.certificate_from_obj(fileio.load_json(args.tuning))
         z_set = [p.z for p in cert.pairs]
     else:
-        obj = fileio.load_json(args.candidates)
-        povms_obj = obj.get("povms") if isinstance(obj, dict) else obj
-        if not isinstance(povms_obj, list):
-            raise SchemaError("candidates", 'expected an array or {"povms": [...]}')
-        z_set = [fileio.povm_from_obj(p, f"candidates[{i}]") for i, p in enumerate(povms_obj)]
+        z_set = fileio.candidates_from_obj(fileio.load_json(args.candidates))
     case = agentmod.classify_extension(
         list(state.direct.values()), z_set, tol=_tol(args, DECISION_ATOL)
     )
@@ -400,8 +357,6 @@ def _cmd_agent_incorporate(args) -> int:
     new_state, report = agentmod.incorporate(
         state, args.system, cert, args.mode, tol=_tol(args, DECISION_ATOL), force=args.force
     )
-    if args.out:
-        fileio.save_json(args.out, fileio.agent_to_obj(new_state))
     obj = {
         "mode": report.mode,
         "case": report.case,
@@ -415,23 +370,19 @@ def _cmd_agent_incorporate(args) -> int:
         f"case: {report.case} ({report.mode})",
         f"final class {report.final_label}, comparison {report.comparison}",
         f"direct measurements now: {', '.join(sorted(new_state.direct)) or '(none)'}",
-    ] + ([f"written to {args.out}"] if args.out else [])
-    _emit(args, obj, lines)
+    ]
+    _emit(args, obj, lines, saved=fileio.agent_to_obj(new_state))
     return 0
 
 
 def _cmd_agent_deconstruct(args) -> int:
     state = fileio.agent_from_obj(fileio.load_json(args.agent))
     new_state = agentmod.deconstruct(state, args.measurement)
-    obj = fileio.agent_to_obj(new_state)
-    if args.out:
-        fileio.save_json(args.out, obj)
     system_name = new_state.history[-1]["system"]
-    lines = [
+    _emit(args, fileio.agent_to_obj(new_state), [
         f"measurement {args.measurement!r} moved to external system {system_name!r}",
         f"direct measurements now: {', '.join(sorted(new_state.direct)) or '(none)'}",
-    ] + ([f"written to {args.out}"] if args.out else [])
-    _emit(args, obj, lines)
+    ])
     return 0
 
 
@@ -499,107 +450,111 @@ def _cmd_demo(args) -> int:
 
 # ------------------------------------------------------------------ wiring
 
-def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the decision tolerance (default: per operation)")
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomness")
-    common.add_argument("--json", action="store_true", help="emit one JSON object")
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A one-flag parent parser; subcommands copy the flags they take."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*args, **kwargs)
+    return p
 
+
+_TOL = _flag("--tol", type=float, help="override the decision tolerance (default: per operation)")
+_SEED = _flag("--seed", type=int, default=0, help="seed for any randomness")
+_JSON = _flag("--json", action="store_true", help="emit one JSON object")
+
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="mf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("validate", parents=[common], help="check a JSON file's invariants")
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest="subcommand", required=True, parser_class=_Parser
+        )
+
+    def command(parent, name, func, flags=(), **kwargs):
+        """A subcommand with --json and the given flags (_TOL, _SEED)."""
+        p = parent.add_parser(name, parents=[*flags, _JSON], **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(sub, "validate", _cmd_validate, [_TOL], help="check a JSON file's invariants")
     p.add_argument("file")
     p.add_argument("--kind", default="povm",
                    choices=["povm", "state", "channel", "dilation", "sic", "table", "agent"])
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("born", parents=[common], help="outcome distribution of a measurement")
+    p = command(sub, "born", _cmd_born, help="outcome distribution of a measurement")
     p.add_argument("--state", required=True)
     p.add_argument("--povm", required=True)
-    p.set_defaults(func=_cmd_born)
 
-    sic_p = sub.add_parser("sic", help="reference-measurement operations")
-    sic_sub = sic_p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    p = sic_sub.add_parser("build", parents=[common])
+    sic = group("sic", "reference-measurement operations")
+    p = command(sic, "build", _cmd_sic_build)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_sic_build)
-    p = sic_sub.add_parser("probs", parents=[common])
+    p = command(sic, "probs", _cmd_sic_probs)
     p.add_argument("--state", required=True)
     p.add_argument("--dim", type=int)
     p.add_argument("--sic")
-    p.set_defaults(func=_cmd_sic_probs)
-    p = sic_sub.add_parser("state", parents=[common])
-    p.add_argument("--probs")
-    p.add_argument("--probs-file")
+    p = command(sic, "state", _cmd_sic_state)
+    probs = p.add_mutually_exclusive_group(required=True)
+    probs.add_argument("--probs")
+    probs.add_argument("--probs-file")
     p.add_argument("--dim", type=int)
     p.add_argument("--sic")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_sic_state)
 
-    for name, fn in [("urgleichung", _cmd_urgleichung), ("classical", _cmd_classical)]:
-        p = sub.add_parser(name, parents=[common],
-                           help=f"apply the {'quantum' if name == 'urgleichung' else 'classical'} update rule")
+    for name, rule, kind in [("urgleichung", sicrep.urgleichung, "quantum"),
+                             ("classical", sicrep.classical_rule, "classical")]:
+        p = command(sub, name, _cmd_update, help=f"apply the {kind} update rule")
+        p.set_defaults(rule=rule)
         p.add_argument("--p-file")
         p.add_argument("--r-file")
         p.add_argument("--state")
         p.add_argument("--povm")
         p.add_argument("--dim", type=int)
         p.add_argument("--sic")
-        p.set_defaults(func=fn)
 
-    p = sub.add_parser("compare", parents=[common], help="post-processing order of two POVMs")
+    p = command(sub, "compare", _cmd_compare, [_TOL],
+                help="post-processing order of two POVMs")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("umax", parents=[common], help="optimal expected utility of a channel")
+    p = command(sub, "umax", _cmd_umax, help="optimal expected utility of a channel")
     p.add_argument("--model", required=True)
     p.add_argument("--channel", required=True)
-    p.set_defaults(func=_cmd_umax)
 
-    dil_p = sub.add_parser("dilate", help="apparatus constructions and checks")
-    dil_sub = dil_p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    p = dil_sub.add_parser("naimark", parents=[common])
+    dil = group("dilate", "apparatus constructions and checks")
+    p = command(dil, "naimark", _cmd_dilate_naimark)
     p.add_argument("--povm", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_dilate_naimark)
-    p = dil_sub.add_parser("verify", parents=[common])
+    p = command(dil, "verify", _cmd_dilate_verify, [_TOL])
     p.add_argument("--spec", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--pointer")
-    p.set_defaults(func=_cmd_dilate_verify)
-    p = dil_sub.add_parser("probcheck", parents=[common])
+    p = command(dil, "probcheck", _cmd_dilate_probcheck, [_TOL, _SEED])
     p.add_argument("--spec", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--n-states", type=int, default=50)
-    p.set_defaults(func=_cmd_dilate_probcheck)
 
-    p = sub.add_parser("tuned", parents=[common], help="verify a batch of dilation claims")
+    p = command(sub, "tuned", _cmd_tuned, [_TOL], help="verify a batch of dilation claims")
     p.add_argument("--claims", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_tuned)
 
-    p = sub.add_parser("discover", parents=[common],
-                       help="fit a quantum model to a probability table")
+    # --tol is accepted here only to be refused with a pointer to --fit-tol.
+    p = command(sub, "discover", _cmd_discover, [_TOL, _SEED],
+                help="fit a quantum model to a probability table")
     p.add_argument("--table", required=True)
     p.add_argument("--dim", type=int)
     p.add_argument("--scan-dim", help="try each dimension in MIN..MAX")
     p.add_argument("--fit-tol", type=float, default=FIT_TOL)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--restarts", type=int, default=20)
-    p.set_defaults(func=_cmd_discover)
 
-    agent_p = sub.add_parser("agent", help="measurement-set bookkeeping")
-    agent_sub = agent_p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    p = agent_sub.add_parser("classify", parents=[common])
+    agent = group("agent", "measurement-set bookkeeping")
+    p = command(agent, "classify", _cmd_agent_classify, [_TOL])
     p.add_argument("--agent", required=True)
     p.add_argument("--tuning")
     p.add_argument("--candidates")
-    p.set_defaults(func=_cmd_agent_classify)
-    p = agent_sub.add_parser("incorporate", parents=[common])
+    p = command(agent, "incorporate", _cmd_agent_incorporate, [_TOL])
     p.add_argument("--agent", required=True)
     p.add_argument("--system", required=True)
     p.add_argument("--tuning", required=True)
@@ -607,15 +562,12 @@ def build_parser() -> _Parser:
     p.add_argument("--force", action="store_true",
                    help="postulate the extension even if the certificate fails")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_agent_incorporate)
-    p = agent_sub.add_parser("deconstruct", parents=[common])
+    p = command(agent, "deconstruct", _cmd_agent_deconstruct)
     p.add_argument("--agent", required=True)
     p.add_argument("--measurement", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_agent_deconstruct)
 
-    p = sub.add_parser("demo", parents=[common], help="worked qubit narrative")
-    p.set_defaults(func=_cmd_demo)
+    command(sub, "demo", _cmd_demo, help="worked qubit narrative")
     return parser
 
 
@@ -626,14 +578,15 @@ def main(argv=None) -> int:
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             parser.error(f"--{name.replace('_', '-')} must be positive and finite")
-    for name in ("restarts", "max_iters"):
+    for name, low in (("restarts", 1), ("max_iters", 1), ("n_states", 0)):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            parser.error(f"--{name.replace('_', '-')} must be at least 1")
-    if args.tol is not None and args.command == "discover":
-        parser.error("--tol does not apply to discover; use --fit-tol")
-    if args.tol is not None and getattr(args, "kind", "povm") != "povm":
-        parser.error("--tol applies only to --kind povm; other kinds check at fixed tolerances")
+        if value is not None and value < low:
+            parser.error(f"--{name.replace('_', '-')} must be at least {low}")
+    if getattr(args, "tol", None) is not None:
+        if args.command == "discover":
+            parser.error("--tol does not apply to discover; use --fit-tol")
+        if getattr(args, "kind", "povm") != "povm":
+            parser.error("--tol applies only to --kind povm; other kinds check at fixed tolerances")
     try:
         return args.func(args)
     except ValueError as exc:  # includes SchemaError and all domain errors

@@ -32,6 +32,7 @@ from .measure import (
     basis_state,
     computational_povm,
     kraus_action,
+    unit_trace,
 )
 from .opalg import CHECK_ATOL
 from .sicrep import SicPovm, SicProbVector, build_sic, povm_to_conditional, urgleichung
@@ -68,7 +69,7 @@ def _moved_probe_states(spec: DilationSpec, rhos: np.ndarray) -> np.ndarray:
     n, d_s, d_t = len(rhos), spec.dim_s, spec.dim_t
     joint = np.einsum("ab,ncd->nacbd", spec.sigma.matrix, rhos).reshape(n, d_s * d_t, d_s * d_t)
     out = kraus_action(spec.phi.kraus, joint)
-    return np.einsum("nsata->nst", out.reshape(n, d_s, d_t, d_s, d_t))
+    return unit_trace(np.einsum("nsata->nst", out.reshape(n, d_s, d_t, d_s, d_t)))
 
 
 def apply_apparatus(spec: DilationSpec, rho: DensityMatrix) -> DensityMatrix:
@@ -242,6 +243,8 @@ def check_tuning_probabilistic(
     records the worst |P(z) - P(y)| over states and whether that agrees
     with the operator-equality verdict at the same tolerance.
     """
+    if n_states < 0:
+        raise ValueError(f"n_states must be >= 0, got {n_states}")
     if sics is None:
         sics = (build_sic(spec.dim_t), build_sic(spec.dim_s))
     sic_t, sic_s = sics

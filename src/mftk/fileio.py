@@ -9,6 +9,7 @@ report the JSON path of the first violated expectation via
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .measure import (
     QuantumChannel,
     StochasticMatrix,
 )
-from .sicrep import ProbabilityTable, SicPovm
+from .sicrep import ProbabilityTable, SicPovm, SicProbVector
 
 
 # ---------------------------------------------------------------- scalars
@@ -45,52 +46,58 @@ def vector_to_obj(v) -> list:
     return [complex_to_obj(x) for x in np.asarray(v, dtype=complex).reshape(-1)]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(obj, path: str) -> float:
+    if not _is_number(obj):
+        raise SchemaError(path, "expected a number")
+    return float(obj)
+
+
+def _integer(obj, path: str) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise SchemaError(path, "expected an integer")
+    return obj
+
+
+def _array(obj, path: str, of: str) -> list:
+    """``obj`` as a non-empty JSON array; ``of`` names its entries."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(path, f"expected a non-empty array of {of}")
+    return obj
+
+
+def _real(a: np.ndarray, path: str) -> np.ndarray:
+    if np.max(np.abs(a.imag), initial=0.0) > 0:
+        raise SchemaError(path, "expected real entries")
+    return a.real
+
+
 def _complex_from(obj, path: str) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
+    if isinstance(obj, list) and len(obj) == 2 and _is_number(obj[0]) and _is_number(obj[1]):
         return complex(obj[0], obj[1])
+    if _is_number(obj):
+        return complex(obj)
     raise SchemaError(path, "expected a number or a [re, im] pair")
 
 
 def _matrix_from(obj, path: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(path, "expected a non-empty array of rows")
     rows = []
-    width = None
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or not row:
-            raise SchemaError(f"{path}[{i}]", "expected a non-empty row array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+    for i, row in enumerate(_array(obj, path, "rows")):
+        row = _array(row, f"{path}[{i}]", "entries")
+        width = len(rows[0]) if rows else len(row)
+        if len(row) != width:
             raise SchemaError(f"{path}[{i}]", f"row has {len(row)} entries, expected {width}")
         rows.append([_complex_from(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
     return np.array(rows, dtype=complex)
 
 
-def _real_matrix_from(obj, path: str) -> np.ndarray:
-    m = _matrix_from(obj, path)
-    if np.max(np.abs(m.imag), initial=0.0) > 0:
-        raise SchemaError(path, "expected a real matrix")
-    return m.real
-
-
 def _vector_from(obj, path: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(path, "expected a non-empty array")
-    return np.array([_complex_from(v, f"{path}[{i}]") for i, v in enumerate(obj)])
-
-
-def _real_vector_from(obj, path: str) -> np.ndarray:
-    v = _vector_from(obj, path)
-    if np.max(np.abs(v.imag), initial=0.0) > 0:
-        raise SchemaError(path, "expected real entries")
-    return v.real
+    return np.array(
+        [_complex_from(v, f"{path}[{i}]") for i, v in enumerate(_array(obj, path, "entries"))]
+    )
 
 
 def _object(obj, path: str) -> dict:
@@ -107,10 +114,7 @@ def _field(obj, key: str, path: str):
 
 
 def _int_field(obj, key: str, path: str) -> int:
-    v = _field(obj, key, path)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise SchemaError(f"{path}.{key}", "expected an integer")
-    return v
+    return _integer(_field(obj, key, path), f"{path}.{key}")
 
 
 def _construct(builder, path: str):
@@ -134,9 +138,7 @@ def povm_to_obj(p: Povm) -> dict:
 
 def povm_from_obj(obj, path: str = "povm") -> Povm:
     dim = _int_field(obj, "dim", path)
-    effects_obj = _field(obj, "effects", path)
-    if not isinstance(effects_obj, list) or not effects_obj:
-        raise SchemaError(f"{path}.effects", "expected a non-empty array of matrices")
+    effects_obj = _array(_field(obj, "effects", path), f"{path}.effects", "matrices")
     mats = [_matrix_from(e, f"{path}.effects[{i}]") for i, e in enumerate(effects_obj)]
     labels = obj.get("labels")
     if labels is not None:
@@ -167,9 +169,7 @@ def channel_to_obj(phi: QuantumChannel) -> dict:
 def channel_from_obj(obj, path: str = "channel") -> QuantumChannel:
     dim_in = _int_field(obj, "dim_in", path)
     dim_out = _int_field(obj, "dim_out", path)
-    kraus_obj = _field(obj, "kraus", path)
-    if not isinstance(kraus_obj, list) or not kraus_obj:
-        raise SchemaError(f"{path}.kraus", "expected a non-empty array of matrices")
+    kraus_obj = _array(_field(obj, "kraus", path), f"{path}.kraus", "matrices")
     ops = [_matrix_from(k, f"{path}.kraus[{i}]") for i, k in enumerate(kraus_obj)]
     return _construct(lambda: QuantumChannel(dim_in, dim_out, tuple(ops)), path)
 
@@ -181,7 +181,8 @@ def stochastic_to_obj(s: StochasticMatrix) -> dict:
 def stochastic_from_obj(obj, path: str = "stochastic") -> StochasticMatrix:
     n_in = _int_field(obj, "n_in", path)
     n_out = _int_field(obj, "n_out", path)
-    m = _real_matrix_from(_field(obj, "entries", path), f"{path}.entries")
+    here = f"{path}.entries"
+    m = _real(_matrix_from(_field(obj, "entries", path), here), here)
     return _construct(lambda: StochasticMatrix(n_in=n_in, n_out=n_out, entries=m), path)
 
 
@@ -199,13 +200,31 @@ def sic_to_obj(sic: SicPovm) -> dict:
 
 def sic_from_obj(obj, path: str = "sic") -> SicPovm:
     povm = povm_from_obj(obj, path)
-    fid_obj = _field(obj, "fiducials", path)
-    if not isinstance(fid_obj, list) or not fid_obj:
-        raise SchemaError(f"{path}.fiducials", "expected a non-empty array of vectors")
+    fid_obj = _array(_field(obj, "fiducials", path), f"{path}.fiducials", "vectors")
     vecs = [_vector_from(v, f"{path}.fiducials[{i}]") for i, v in enumerate(fid_obj)]
     return _construct(
         lambda: SicPovm(dim=povm.dim, fiducial_states=tuple(vecs), povm=povm), path
     )
+
+
+def sic_probs_to_obj(p: SicProbVector) -> dict:
+    return {"dim": p.dim, "probs": [float(v) for v in p.probs]}
+
+
+def sic_probs_from_obj(obj, path: str = "probs") -> tuple[np.ndarray, int]:
+    """Returns the entries and the dimension d of a reference-probability
+    file: either a bare array of the d^2 probabilities or an object
+    {"dim": d, "probs": [...]} as ``sic_probs_to_obj`` writes it. Without
+    a "dim" field, d is the square root of the entry count."""
+    dim = None
+    if isinstance(obj, dict) and "probs" in obj:
+        if "dim" in obj:
+            dim = _integer(obj["dim"], f"{path}.dim")
+        obj, path = obj["probs"], f"{path}.probs"
+    elif not isinstance(obj, list):
+        raise SchemaError(path, 'expected an array or an object with a "probs" field')
+    probs = _real(_vector_from(obj, path), path)
+    return probs, (math.isqrt(probs.size) if dim is None else dim)
 
 
 def table_to_obj(table: ProbabilityTable, dim_hint: int | None = None) -> dict:
@@ -231,9 +250,9 @@ def table_from_obj(obj, path: str = "table") -> tuple[ProbabilityTable, int | No
     index runs over preparations; the inner over outcomes.
     """
     n_prep = _int_field(obj, "preparations", path)
-    meas_obj = _field(obj, "measurements", path)
-    if not isinstance(meas_obj, list) or not meas_obj:
-        raise SchemaError(f"{path}.measurements", "expected a non-empty array")
+    if n_prep < 1:
+        raise SchemaError(f"{path}.preparations", "expected at least one preparation")
+    meas_obj = _array(_field(obj, "measurements", path), f"{path}.measurements", "measurements")
     labels = []
     counts = []
     for i, m in enumerate(meas_obj):
@@ -248,17 +267,16 @@ def table_from_obj(obj, path: str = "table") -> tuple[ProbabilityTable, int | No
             raise SchemaError(f"{path}.q[{k}]", f"expected {n_prep} distributions")
         row = []
         for m, dist in enumerate(block):
-            v = _real_vector_from(dist, f"{path}.q[{k}][{m}]")
+            here = f"{path}.q[{k}][{m}]"
+            v = _real(_vector_from(dist, here), here)
             if v.size != counts[k]:
-                raise SchemaError(
-                    f"{path}.q[{k}][{m}]", f"expected {counts[k]} outcome probabilities"
-                )
+                raise SchemaError(here, f"expected {counts[k]} outcome probabilities")
             row.append(
                 _construct(
                     lambda v=v: OutcomeDistribution(
                         labels=tuple(str(j) for j in range(v.size)), probs=v
                     ),
-                    f"{path}.q[{k}][{m}]",
+                    here,
                 )
             )
         rows.append(tuple(row))
@@ -269,8 +287,8 @@ def table_from_obj(obj, path: str = "table") -> tuple[ProbabilityTable, int | No
         path,
     )
     dim_hint = obj.get("dim_hint")
-    if dim_hint is not None and (not isinstance(dim_hint, int) or isinstance(dim_hint, bool)):
-        raise SchemaError(f"{path}.dim_hint", "expected an integer")
+    if dim_hint is not None:
+        _integer(dim_hint, f"{path}.dim_hint")
     return table, dim_hint
 
 
@@ -297,6 +315,28 @@ def dilation_from_obj(obj, path: str = "dilation") -> DilationSpec:
     )
 
 
+def _claims(obj, path: str):
+    """Yields (path, entry, (y, z, spec)) for each entry of the "pairs"
+    array that claims files and certificates share."""
+    pairs_obj = _field(obj, "pairs", path)
+    if not isinstance(pairs_obj, list):
+        raise SchemaError(f"{path}.pairs", "expected an array of {y, z, spec} objects")
+    for i, entry in enumerate(pairs_obj):
+        here = f"{path}.pairs[{i}]"
+        yield here, entry, (
+            povm_from_obj(_field(entry, "y", here), f"{here}.y"),
+            povm_from_obj(_field(entry, "z", here), f"{here}.z"),
+            dilation_from_obj(_field(entry, "spec", here), f"{here}.spec"),
+        )
+
+
+def claims_from_obj(obj, path: str = "claims"):
+    """Returns (pairs, specs), the arguments of ``verify_tuned``, from a
+    claims file {"pairs": [{"y": <povm>, "z": <povm>, "spec": <dilation>}, ...]}."""
+    claims = [claim for _, _, claim in _claims(obj, path)]
+    return [(y, z) for y, z, _ in claims], [spec for _, _, spec in claims]
+
+
 def certificate_to_obj(cert: TuningCertificate) -> dict:
     return {
         "tol": float(cert.tol),
@@ -315,27 +355,15 @@ def certificate_to_obj(cert: TuningCertificate) -> dict:
 
 
 def certificate_from_obj(obj, path: str = "certificate") -> TuningCertificate:
-    tol = _field(obj, "tol", path)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
-        raise SchemaError(f"{path}.tol", "expected a number")
-    pairs_obj = _field(obj, "pairs", path)
-    if not isinstance(pairs_obj, list):
-        raise SchemaError(f"{path}.pairs", "expected an array")
-    pairs = []
-    for i, p in enumerate(pairs_obj):
-        here = f"{path}.pairs[{i}]"
-        residual = _field(p, "residual", here)
-        if not isinstance(residual, (int, float)) or isinstance(residual, bool):
-            raise SchemaError(f"{here}.residual", "expected a number")
-        pairs.append(
-            PairResult(
-                y=povm_from_obj(_field(p, "y", here), f"{here}.y"),
-                z=povm_from_obj(_field(p, "z", here), f"{here}.z"),
-                spec=dilation_from_obj(_field(p, "spec", here), f"{here}.spec"),
-                residual=float(residual),
-            )
+    tol = _number(_field(obj, "tol", path), f"{path}.tol")
+    pairs = tuple(
+        PairResult(
+            y=y, z=z, spec=spec,
+            residual=_number(_field(entry, "residual", here), f"{here}.residual"),
         )
-    return TuningCertificate(pairs=tuple(pairs), tol=float(tol))
+        for here, entry, (y, z, spec) in _claims(obj, path)
+    )
+    return TuningCertificate(pairs=pairs, tol=tol)
 
 
 # ------------------------------------------------------------------ order
@@ -345,8 +373,10 @@ def decision_from_obj(obj, path: str = "decision"):
 
     A concrete DecisionModel is assembled by picking one named channel.
     """
-    prior = _real_vector_from(_field(obj, "prior", path), f"{path}.prior")
-    utility = _real_matrix_from(_field(obj, "utility", path), f"{path}.utility")
+    prior = _real(_vector_from(_field(obj, "prior", path), f"{path}.prior"), f"{path}.prior")
+    utility = _real(
+        _matrix_from(_field(obj, "utility", path), f"{path}.utility"), f"{path}.utility"
+    )
     channels_obj = _object(_field(obj, "channels", path), f"{path}.channels")
     if not channels_obj:
         raise SchemaError(f"{path}.channels", "expected at least one named channel")
@@ -358,17 +388,17 @@ def decision_from_obj(obj, path: str = "decision"):
     )
     channels = {}
     for name, m in channels_obj.items():
-        entries = _real_matrix_from(m, f"{path}.channels.{name}")
+        here = f"{path}.channels.{name}"
+        entries = _real(_matrix_from(m, here), here)
         if entries.shape[1] != prior.size:
             raise SchemaError(
-                f"{path}.channels.{name}",
-                f"channel conditions on {entries.shape[1]} worlds, prior has {prior.size}",
+                here, f"channel conditions on {entries.shape[1]} worlds, prior has {prior.size}"
             )
         channels[name] = _construct(
             lambda e=entries: StochasticMatrix(
                 n_in=e.shape[1], n_out=e.shape[0], entries=e
             ),
-            f"{path}.channels.{name}",
+            here,
         )
     return prior_dist, utility, channels
 
@@ -431,8 +461,11 @@ def agent_from_obj(obj, path: str = "agent") -> AgentState:
         raise SchemaError(f"{path}.history", "expected an array")
     events = []
     for i, e in enumerate(history):
-        e = dict(_object(e, f"{path}.history[{i}]"))
+        here = f"{path}.history[{i}]"
+        e = dict(_object(e, here))
         if "added" in e:
+            if not isinstance(e["added"], list) or not all(isinstance(n, str) for n in e["added"]):
+                raise SchemaError(f"{here}.added", "expected an array of names")
             e["added"] = tuple(e["added"])
         events.append(e)
     return _construct(
@@ -441,6 +474,16 @@ def agent_from_obj(obj, path: str = "agent") -> AgentState:
         ),
         path,
     )
+
+
+def candidates_from_obj(obj, path: str = "candidates") -> list[Povm]:
+    """Candidate measurements for ``mf agent classify``: an array of POVMs
+    or an object {"povms": [...]}."""
+    if isinstance(obj, dict):
+        obj, path = _field(obj, "povms", path), f"{path}.povms"
+    if not isinstance(obj, list):
+        raise SchemaError(path, 'expected an array or {"povms": [...]}')
+    return [povm_from_obj(p, f"{path}[{i}]") for i, p in enumerate(obj)]
 
 
 # ------------------------------------------------------------------- I/O

@@ -347,12 +347,21 @@ def kraus_action(kraus, m) -> np.ndarray:
     return sum(k @ m @ opalg.dagger(k) for k in kraus)
 
 
+def unit_trace(m) -> np.ndarray:
+    """Divide each matrix of a (..., n, n) stack by its trace where that is
+    off from 1 by more than ROUNDOFF_ATOL, and leave the others unchanged.
+    A channel is trace preserving only within CHECK_ATOL, so its output can
+    miss unit trace by more than a state allows."""
+    tr = np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return np.where(np.abs(tr - 1.0) > ROUNDOFF_ATOL, m / tr, m)
+
+
 def apply_channel(phi: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Schroedinger-picture action: sum_k K rho K^dagger."""
     if rho.dim != phi.dim_in:
         raise DimensionMismatchError(f"state dim {rho.dim} != channel input dim {phi.dim_in}")
     out = kraus_action(phi.kraus, rho.matrix)
-    return DensityMatrix(dim=phi.dim_out, matrix=opalg.hermitize(out))
+    return DensityMatrix(dim=phi.dim_out, matrix=unit_trace(opalg.hermitize(out)))
 
 
 def random_state(dim: int, seed) -> DensityMatrix:

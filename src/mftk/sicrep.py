@@ -573,6 +573,10 @@ def discover_system(
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if table.n_measurements == 0:
+        raise ValueError("probability table has no measurements")
+    if table.n_preparations == 0:
+        raise ValueError("probability table has no preparations")
     basis = opalg.hermitian_basis(d)
     n_restarts = max(1, restarts)
     best = None  # (residual, states, povms)

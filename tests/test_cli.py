@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -30,7 +31,7 @@ from mftk import (
     urgleichung,
     xbasis_povm,
 )
-from mftk.cli import main
+from mftk.cli import build_parser, main
 
 
 def _write(tmp_path, name, obj):
@@ -399,3 +400,148 @@ def test_tol_on_discover_points_to_fit_tol(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "use --fit-tol" in captured.err
+
+
+# ------------------------------------------------- flags and file boundary
+
+TOL_COMMANDS = {("validate",), ("compare",), ("dilate", "verify"), ("dilate", "probcheck"),
+                ("tuned",), ("agent", "classify"), ("agent", "incorporate"), ("discover",)}
+SEED_COMMANDS = {("dilate", "probcheck"), ("discover",)}
+
+
+def _leaf_parsers(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, path + (name,))
+            return
+    yield path, parser
+
+
+def _required_argv(path, parser):
+    """The subcommand with a placeholder for every required argument."""
+    argv = list(path)
+    required = [a for a in parser._actions if a.required]
+    required += [g._group_actions[0] for g in parser._mutually_exclusive_groups if g.required]
+    for action in required:
+        argv += action.option_strings[:1] + [action.choices[0] if action.choices else "1"]
+    return argv
+
+
+def test_tol_and_seed_only_where_they_act(capsys):
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert len(leaves) == 18
+    for path, parser in leaves.items():
+        for flag, where in (("--tol", TOL_COMMANDS), ("--seed", SEED_COMMANDS)):
+            argv = _required_argv(path, parser) + [flag, "1"]
+            if path in where:
+                assert getattr(build_parser().parse_args(argv), flag[2:]) == 1
+                continue
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--json"])
+            assert err.value.code == 1, (path, flag)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {flag} 1" in captured.err
+
+
+@pytest.mark.parametrize("command", [["urgleichung", "--povm", "z.json"], ["sic", "probs"]])
+def test_dim_zero_is_not_a_missing_dim(tmp_path, capsys, command):
+    _write(tmp_path, "z.json", povm_to_obj(computational_povm(2)))
+    state = _write(tmp_path, "s.json", state_to_obj(basis_state(2, 0)))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+    assert main(argv + ["--state", state, "--dim", "0", "--json"]) == 2
+    assert _json_out(capsys) == {"error": "no built-in fiducial for dimension 0"}
+
+
+def _r_file(tmp_path):
+    r = povm_to_conditional(build_sic(2), xbasis_povm())
+    return _write(tmp_path, "r.json", stochastic_to_obj(r))
+
+
+def test_probability_files_take_either_shape(tmp_path, capsys):
+    probs = [float(v) for v in state_to_sic_probs(random_state(2, seed=94), build_sic(2)).probs]
+    r_file = _r_file(tmp_path)
+    updates, states = set(), set()
+    for i, obj in enumerate([probs, {"probs": probs}, {"dim": 2, "probs": probs}]):
+        p_file = _write(tmp_path, f"p{i}.json", obj)
+        assert main(["urgleichung", "--p-file", p_file, "--r-file", r_file, "--json"]) == 0
+        updates.add(capsys.readouterr().out)
+        assert main(["sic", "state", "--probs-file", p_file, "--dim", "2", "--json"]) == 0
+        states.add(capsys.readouterr().out)
+    assert len(updates) == len(states) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--probs", "0.25,0.25,0.25,0.25",
+                                          "--probs-file", "p.json"]])
+def test_sic_state_takes_one_probability_source(capsys, extra):
+    with pytest.raises(SystemExit) as err:
+        main(["sic", "state", "--dim", "2", *extra, "--json"])
+    assert err.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag, obj, path", [
+    ("--probs-file", [None, 0.25, 0.25, 0.25], "probs[0]"),
+    ("--probs-file", {"probs": [0.25, [[0.25]], 0.25, 0.25]}, "probs.probs[1]"),
+    ("--p-file", {"dim": 2, "probs": [0.25, 0.25, None, 0.25]}, "p.probs[2]"),
+    ("--p-file", {"dim": 2, "probs": [0.25, 0.25, 0.25, [[0.25]]]}, "p.probs[3]"),
+])
+def test_malformed_probability_entries_exit_2_with_path(tmp_path, capsys, flag, obj, path):
+    p_file = _write(tmp_path, "p.json", obj)
+    if flag == "--probs-file":
+        argv = ["sic", "state", "--probs-file", p_file, "--dim", "2", "--json"]
+    else:
+        argv = ["urgleichung", "--p-file", p_file, "--r-file", _r_file(tmp_path), "--json"]
+    assert main(argv) == 2
+    assert _json_out(capsys)["error"].startswith(f"{path}: ")
+
+
+def test_malformed_history_and_empty_table_exit_2_with_path(tmp_path, capsys):
+    obj = agent_to_obj(AgentState(target_dim=2, direct={"z": computational_povm(2)}))
+    obj["history"] = [{"event": "incorporate", "added": 5}]
+    agent_file = _write(tmp_path, "agent.json", obj)
+    assert main(["agent", "deconstruct", "--agent", agent_file, "--measurement", "z",
+                 "--json"]) == 2
+    assert _json_out(capsys)["error"].startswith("agent.history[0].added: ")
+
+    table_file = _write(tmp_path, "table.json", {
+        "preparations": 0, "measurements": [{"label": "Z", "n_outcomes": 2}], "q": [[]],
+    })
+    for argv in (["discover", "--table", table_file, "--dim", "2"],
+                 ["validate", table_file, "--kind", "table"]):
+        assert main(argv + ["--json"]) == 2
+        assert _json_out(capsys)["error"].startswith("table.preparations: ")
+
+
+def test_negative_n_states_is_a_usage_error(tmp_path, capsys):
+    z = computational_povm(2)
+    spec_file = _write(tmp_path, "spec.json", dilation_to_obj(naimark_construct(z)))
+    target = _write(tmp_path, "z.json", povm_to_obj(z))
+    argv = ["dilate", "probcheck", "--spec", spec_file, "--target", target, "--json"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--n-states", "-1"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-states must be at least 0" in captured.err
+
+    assert main(argv + ["--n-states", "0"]) == 0
+    out = _json_out(capsys)
+    assert out["vacuous"] and out["n_states"] == 0
+
+
+def test_out_is_reported_in_human_output(tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    assert main(["sic", "state", "--probs", "0.25,0.25,0.25,0.25", "--dim", "2",
+                 "--out", out]) == 0
+    assert capsys.readouterr().out.endswith(f"written to {out}\n")
+
+    z = computational_povm(2)
+    spec = naimark_construct(z)
+    claims = _write(tmp_path, "claims.json", {"pairs": [
+        {"y": povm_to_obj(spec.y), "z": povm_to_obj(z), "spec": dilation_to_obj(spec)}
+    ]})
+    assert main(["tuned", "--claims", claims, "--out", out]) == 0
+    assert capsys.readouterr().out.endswith(f"written to {out}\n")
+    assert json.loads((tmp_path / "out.json").read_text())["tuned"] is True

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from mftk import (
+    DensityMatrix,
     DilationSpec,
     Povm,
     QuantumChannel,
     apply_apparatus,
+    apply_channel,
     basis_state,
     born_probabilities,
     build_sic,
@@ -22,6 +24,7 @@ from mftk import (
     xbasis_povm,
 )
 from mftk.errors import DimensionMismatchError, OutcomeCountMismatchError
+from mftk.measure import unit_trace
 
 
 def _swap(d):
@@ -221,3 +224,32 @@ def test_probabilistic_check_vacuous_without_states():
     report = check_tuning_probabilistic(spec, z, n_states=0, seed=0)
     assert report.vacuous
     assert report.max_gap == 0.0
+
+
+def test_probabilistic_check_rejects_a_negative_state_count():
+    z = random_povm(2, 2, seed=52)
+    with pytest.raises(ValueError, match="n_states"):
+        check_tuning_probabilistic(naimark_construct(z), z, n_states=-1)
+
+
+def test_outputs_of_an_accepted_channel_are_states():
+    # Trace preserving within CHECK_ATOL (residual 8e-10) but not within
+    # the ROUNDOFF_ATOL that a state's trace is checked at.
+    z = random_povm(2, 3, seed=54)
+    exact = naimark_construct(z)
+    phi = QuantumChannel(exact.phi.dim_in, exact.phi.dim_out,
+                         (exact.phi.kraus[0] * np.sqrt(1 + 8e-10),))
+    spec = DilationSpec(sigma=exact.sigma, phi=phi, y=exact.y,
+                        dim_s=exact.dim_s, dim_t=exact.dim_t)
+    assert is_generalized_dilation(spec.y, z, spec).holds
+
+    rho = random_state(2, seed=55)
+    joint = DensityMatrix(dim=phi.dim_in, matrix=np.kron(spec.sigma.matrix, rho.matrix))
+    for out in (apply_channel(phi, joint), apply_apparatus(spec, rho)):
+        assert abs(np.trace(out.matrix) - 1) < 1e-15
+    report = check_tuning_probabilistic(spec, z, n_states=20, seed=3)
+    assert report.holds and report.operator_holds and report.agrees
+
+    # Outputs already within round-off of unit trace are left bit for bit.
+    moved = apply_channel(exact.phi, joint).matrix
+    np.testing.assert_array_equal(unit_trace(moved), moved)

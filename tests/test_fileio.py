@@ -47,7 +47,7 @@ from mftk import (
     xbasis_povm,
 )
 from mftk.errors import SchemaError
-from mftk.fileio import _complex_from, _matrix_from
+from mftk.fileio import _complex_from, _matrix_from, candidates_from_obj, sic_probs_from_obj
 
 
 def _assert_povms_equal(a, b):
@@ -220,6 +220,34 @@ def test_decision_channel_world_mismatch():
 def test_non_object_input():
     with pytest.raises(SchemaError, match="expected an object"):
         povm_from_obj([1, 2, 3])
+
+
+def test_reference_probabilities_take_dim_from_the_file_or_the_length():
+    probs = [0.1] * 8 + [0.2]
+    assert sic_probs_from_obj(probs)[1] == 3
+    assert sic_probs_from_obj({"probs": probs})[1] == 3
+    values, dim = sic_probs_from_obj({"dim": 2, "probs": probs})
+    assert dim == 2 and values.tolist() == probs
+    with pytest.raises(SchemaError, match=r"^probs\.dim: expected an integer"):
+        sic_probs_from_obj({"dim": "3", "probs": probs})
+    with pytest.raises(SchemaError, match=r"^probs: expected an array or an object"):
+        sic_probs_from_obj({"dim": 3})
+
+
+def test_candidates_take_either_shape():
+    obj = [povm_to_obj(computational_povm(2)), povm_to_obj(xbasis_povm())]
+    for shape in (obj, {"povms": obj}):
+        _assert_povms_equal(candidates_from_obj(shape)[1], xbasis_povm())
+    with pytest.raises(SchemaError, match=r"^candidates\.povms\[1\]\.dim"):
+        candidates_from_obj({"povms": [obj[0], {}]})
+
+
+@pytest.mark.parametrize("added", [5, "z", [1]])
+def test_history_added_must_be_an_array_of_names(added):
+    obj = agent_to_obj(AgentState(target_dim=2, direct={"z": computational_povm(2)}))
+    obj["history"] = [{"event": "incorporate", "added": added}]
+    with pytest.raises(SchemaError, match=r"^agent\.history\[0\]\.added: expected an array"):
+        agent_from_obj(obj)
 
 
 # --------------------------------------------------------------------- I/O

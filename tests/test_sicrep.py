@@ -288,6 +288,16 @@ def test_discover_requires_positive_dimension():
         discover_system(table, 0)
 
 
+@pytest.mark.parametrize("n_prep, labels, rows, empty", [
+    (2, (), (), "no measurements"),
+    (0, ("Z",), ((),), "no preparations"),
+])
+def test_discover_names_an_empty_table(n_prep, labels, rows, empty):
+    table = ProbabilityTable(n_preparations=n_prep, measurement_labels=labels, distributions=rows)
+    with pytest.raises(ValueError, match=empty):
+        discover_system(table, 2)
+
+
 def test_polish_jacobian_matches_scipy_finite_differences():
     rng = np.random.default_rng(41)
     for d, n_prep, counts in ((2, 3, (2, 2)), (3, 4, (3, 3))):
