@@ -293,7 +293,9 @@ def _cmd_discover(args) -> int:
             dims = list(range(int(lo), int(hi) + 1))
         except ValueError:
             raise SchemaError("--scan-dim", "expected MIN..MAX")
-        if not dims or dims[0] < 1:
+        if not dims:
+            raise SchemaError("--scan-dim", f"range {args.scan_dim} is empty: MIN exceeds MAX")
+        if dims[0] < 1:
             raise SchemaError("--scan-dim", "range must start at 1 or above")
     elif args.dim is not None:
         dims = [args.dim]

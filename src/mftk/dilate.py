@@ -35,7 +35,7 @@ from .measure import (
     unit_trace,
 )
 from .opalg import CHECK_ATOL
-from .sicrep import SicPovm, SicProbVector, build_sic, povm_to_conditional, urgleichung
+from .sicrep import _reference_prediction, build_sic, povm_to_conditional
 
 
 @dataclass(frozen=True)
@@ -228,48 +228,33 @@ class ProbabilisticReport:
 def check_tuning_probabilistic(
     spec: DilationSpec,
     z: Povm,
-    sics: tuple[SicPovm, SicPovm] | None = None,
     n_states: int = 50,
     seed: int = 0,
     tol: float = CHECK_ATOL,
 ) -> ProbabilisticReport:
     """Cross-check a dilation claim through reference-measurement probabilities.
 
-    For random target states rho, the target side P(z) is computed by
-    the affine update from the reference probabilities of rho, and the
-    pointer side P(y) by the same update on the probe, using the moved
-    probe state. ``sics`` supplies the (target, probe) reference
-    measurements; built-in ones are used when omitted. The report
-    records the worst |P(z) - P(y)| over states and whether that agrees
-    with the operator-equality verdict at the same tolerance.
+    For a batch of random target states rho, the target side P(z) is the
+    affine update of their built-in reference probabilities, and the
+    pointer side P(y) the same update on the moved probe states. The
+    report records the worst |P(z) - P(y)| over states and whether that
+    agrees with the operator-equality verdict at the same tolerance.
     """
     if n_states < 0:
         raise ValueError(f"n_states must be >= 0, got {n_states}")
-    if sics is None:
-        sics = (build_sic(spec.dim_t), build_sic(spec.dim_s))
-    sic_t, sic_s = sics
-    if sic_t.dim != spec.dim_t or sic_s.dim != spec.dim_s:
-        raise DimensionMismatchError("reference measurements do not match (target, probe) dims")
+    sic_t, sic_s = build_sic(spec.dim_t), build_sic(spec.dim_s)
     r_target = povm_to_conditional(sic_t, z)
     r_pointer = povm_to_conditional(sic_s, spec.y)
     operator = is_generalized_dilation(spec.y, z, spec, tol)
 
-    # One batch of normalized Ginibre states; per-state reference
-    # probabilities on both sides of the apparatus boundary.
     rng = np.random.default_rng([seed])
     g = (rng.standard_normal((n_states, spec.dim_t, spec.dim_t))
          + 1j * rng.standard_normal((n_states, spec.dim_t, spec.dim_t)))
     rhos = np.einsum("nij,nkj->nik", g, g.conj())
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-    moved = _moved_probe_states(spec, rhos)
-    probs_t = np.einsum("xij,nji->nx", sic_t.povm.matrices(), rhos).real
-    probs_s = np.einsum("xij,nji->nx", sic_s.povm.matrices(), moved).real
-
-    max_gap = 0.0
-    for i in range(n_states):
-        p_z = urgleichung(SicProbVector(dim=spec.dim_t, probs=probs_t[i]), r_target).probs
-        p_y = urgleichung(SicProbVector(dim=spec.dim_s, probs=probs_s[i]), r_pointer).probs
-        max_gap = max(max_gap, float(np.max(np.abs(p_z - p_y))))
+    p_z = _reference_prediction(sic_t, r_target, rhos)
+    p_y = _reference_prediction(sic_s, r_pointer, _moved_probe_states(spec, rhos))
+    max_gap = float(np.max(np.abs(p_z - p_y), initial=0.0))
     holds = max_gap <= tol
     return ProbabilisticReport(
         max_gap=max_gap,

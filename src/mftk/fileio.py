@@ -504,5 +504,8 @@ def dump_json(obj) -> str:
 
 
 def save_json(filename: str, obj) -> None:
-    with open(filename, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(obj))
+    try:
+        with open(filename, "w", encoding="utf-8") as fh:
+            fh.write(dump_json(obj))
+    except OSError as exc:
+        raise SchemaError(filename, f"cannot write file: {exc.strerror or exc}") from exc

@@ -54,7 +54,8 @@ class SicPovm:
                      for v in self.fiducial_states)
         if len(vecs) != d * d:
             raise ValueError(f"need {d * d} fiducial states, got {len(vecs)}")
-        gram = np.abs(np.array([[np.vdot(a, b) for b in vecs] for a in vecs])) ** 2
+        object.__setattr__(self, "fiducial_states", vecs)
+        gram = np.abs(np.conj(vecs) @ np.transpose(vecs)) ** 2
         target = np.full((d * d, d * d), 1.0 / (d + 1))
         np.fill_diagonal(target, 1.0)
         worst = np.max(np.abs(gram - target))
@@ -62,18 +63,17 @@ class SicPovm:
             raise ValueError(f"fiducial overlaps deviate from equiangularity by {worst:.3e}")
         if self.povm.dim != d or self.povm.n_outcomes != d * d:
             raise DimensionMismatchError("effect list does not match the fiducial family")
-        for v, e in zip(vecs, self.povm.effects):
-            gap = np.max(np.abs(e.matrix - np.outer(v, v.conj()) / d))
+        gaps = np.max(np.abs(self.povm.matrices() - self.projectors() / d), axis=(1, 2))
+        for label, gap in zip(self.povm.labels, gaps):
             if gap > CHECK_ATOL:
-                raise ValueError(f"effect {e.label!r} is not its fiducial projector / d")
-        total = sum(e.matrix for e in self.povm.effects)
-        if np.max(np.abs(total - np.eye(d))) > CHECK_ATOL:
+                raise ValueError(f"effect {label!r} is not its fiducial projector / d")
+        if np.max(np.abs(self.povm.matrices().sum(axis=0) - np.eye(d))) > CHECK_ATOL:
             raise ValueError("reference effects do not sum to the identity")
-        object.__setattr__(self, "fiducial_states", vecs)
 
     def projectors(self) -> np.ndarray:
         """Stacked (d^2, d, d) rank-1 projectors |psi_i><psi_i|."""
-        return np.stack([np.outer(v, v.conj()) for v in self.fiducial_states])
+        v = np.stack(self.fiducial_states)
+        return v[:, :, None] * v.conj()[:, None, :]
 
 
 def _tetrahedron_vectors() -> list[np.ndarray]:
@@ -203,6 +203,24 @@ def povm_to_conditional(sic: SicPovm, target: Povm) -> StochasticMatrix:
     return StochasticMatrix(n_in=sic.dim**2, n_out=target.n_outcomes, entries=r)
 
 
+def _affine_update(p: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
+    """Rows q = r [(d+1) p - 1/d] for (n, d^2) p and an (m, d^2) table r, clipped at
+    zero and renormalized, shape (n, m); a row with an entry below -1e-9 is rejected."""
+    q = ((d + 1) * p - 1.0 / d) @ r.T
+    bad = q.min(axis=1) < -CHECK_ATOL
+    if bad.any():
+        q = q[bad.argmax()]
+        raise InconsistentPairError(f"inconsistent (p, r) pair: q({q.argmin()}) = {q.min():.3e}")
+    q = np.clip(q, 0.0, None)
+    return q / q.sum(axis=1, keepdims=True)
+
+
+def _reference_prediction(sic: SicPovm, r: StochasticMatrix, rhos: np.ndarray) -> np.ndarray:
+    """(n, m) outcome probabilities under table r of an (n, d, d) state stack."""
+    p = np.einsum("xij,nji->nx", sic.povm.matrices(), rhos).real
+    return _affine_update(p, r.entries, sic.dim)
+
+
 def urgleichung(p: SicProbVector, r: StochasticMatrix, labels=None) -> OutcomeDistribution:
     """Quantum update q(j) = sum_i [(d+1) p(i) - 1/d] r(j|i).
 
@@ -213,13 +231,10 @@ def urgleichung(p: SicProbVector, r: StochasticMatrix, labels=None) -> OutcomeDi
     d = p.dim
     if r.n_in != d * d:
         raise DimensionMismatchError(f"conditional table has {r.n_in} inputs, expected {d * d}")
-    q = r.entries @ ((d + 1) * p.probs - 1.0 / d)
-    if q.min() < -CHECK_ATOL:
-        raise InconsistentPairError(f"inconsistent (p, r) pair: q({q.argmin()}) = {q.min():.3e}")
-    q = np.clip(q, 0.0, None)
+    q = _affine_update(p.probs[None], r.entries, d)[0]
     if labels is None:
         labels = [str(j) for j in range(q.size)]
-    return OutcomeDistribution(labels=tuple(labels), probs=q / q.sum())
+    return OutcomeDistribution(labels=tuple(labels), probs=q)
 
 
 def classical_rule(p: SicProbVector, r: StochasticMatrix, labels=None) -> OutcomeDistribution:

@@ -141,6 +141,20 @@ def test_error_reporting_streams(tmp_path, capsys):
     assert "error" in json.loads(captured.out)
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, json_flag):
+    out = str(tmp_path / "missing" / "x.json")
+    povm = _write(tmp_path, "z.json", povm_to_obj(computational_povm(2)))
+    message = f"{out}: cannot write file: No such file or directory"
+    for argv in (["sic", "build", "--dim", "2"], ["dilate", "naimark", "--povm", povm]):
+        assert main(argv + ["--out", out] + json_flag) == 2
+        captured = capsys.readouterr()
+        if json_flag:
+            assert (json.loads(captured.out), captured.err) == ({"error": message}, "")
+        else:
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 # ------------------------------------------------------------------- born
 
 def test_born_and_dim_mismatch(tmp_path, capsys):
@@ -179,7 +193,8 @@ def test_sic_probs_state_round_trip_via_files(tmp_path, capsys):
     assert main(["sic", "state", "--probs", probs_arg, "--dim", "2",
                  "--out", out, "--json"]) == 0
     capsys.readouterr()
-    back = json.load(open(out))
+    with open(out) as fh:
+        back = json.load(fh)
     m = np.array([[complex(*e) for e in row] for row in back["matrix"]])
     np.testing.assert_allclose(m, rho.matrix, atol=1e-9)
 
@@ -312,7 +327,8 @@ def test_agent_cli_round_trip(tmp_path, capsys):
     out = _json_out(capsys)
     assert out["case"] == "upgrade" and out["comparison"] == ">"
     assert out["direct_measurements"] == ["z"]
-    back = json.load(open(back_file))
+    with open(back_file) as fh:
+        back = json.load(fh)
     assert list(back["direct"]) == ["z"]
     assert back["history"][-1]["event"] == "incorporate"
 
@@ -376,6 +392,14 @@ def test_discover_nonpositive_dim_is_an_error(tmp_path, capsys, value):
     table_file = _hinted_qubit_table(tmp_path)
     assert main(["discover", "--table", table_file, "--dim", value, "--json"]) == 2
     assert _json_out(capsys) == {"error": "dimension must be >= 1"}
+
+
+def test_discover_reversed_scan_range_is_reported_as_empty(tmp_path, capsys):
+    table_file = _hinted_qubit_table(tmp_path)
+    assert main(["discover", "--table", table_file, "--scan-dim", "3..1", "--json"]) == 2
+    assert _json_out(capsys) == {"error": "--scan-dim: range 3..1 is empty: MIN exceeds MAX"}
+    assert main(["discover", "--table", table_file, "--scan-dim", "0..2", "--json"]) == 2
+    assert _json_out(capsys) == {"error": "--scan-dim: range must start at 1 or above"}
 
 
 @pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])

@@ -17,13 +17,18 @@ from mftk import (
     is_generalized_dilation,
     maximally_mixed,
     naimark_construct,
+    povm_to_conditional,
     random_povm,
     random_state,
     validate_povm,
     verify_tuned,
     xbasis_povm,
 )
-from mftk.errors import DimensionMismatchError, OutcomeCountMismatchError
+from mftk.errors import (
+    DimensionMismatchError,
+    InconsistentPairError,
+    OutcomeCountMismatchError,
+)
 from mftk.measure import unit_trace
 
 
@@ -224,6 +229,18 @@ def test_probabilistic_check_vacuous_without_states():
     report = check_tuning_probabilistic(spec, z, n_states=0, seed=0)
     assert report.vacuous
     assert report.max_gap == 0.0
+
+
+def test_probabilistic_check_rejects_a_target_that_is_not_psd():
+    # (I +- 1.2 sigma_x) / 2 has eigenvalues -0.1 and 1.1, yet every overlap
+    # with the qubit reference measurement is non-negative: only the affine
+    # update's negative q catches it.
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = Povm.from_matrices(2, [(np.eye(2) + 1.2 * sx) / 2, (np.eye(2) - 1.2 * sx) / 2])
+    assert povm_to_conditional(build_sic(2), z).entries.min() >= 0
+    with pytest.raises(InconsistentPairError,
+                       match=r"^inconsistent \(p, r\) pair: q\(1\) = -1\.252e-02$"):
+        check_tuning_probabilistic(naimark_construct(computational_povm(2)), z, seed=0)
 
 
 def test_probabilistic_check_rejects_a_negative_state_count():

@@ -10,11 +10,14 @@ import mftk.order
 from mftk import (
     DilationSpec,
     OutcomeDistribution,
+    Povm,
+    SicProbVector,
     StochasticMatrix,
     basis_state,
     blackwell_consistency,
     born_probabilities,
     build_sic,
+    check_tuning_probabilistic,
     computational_povm,
     dagger,
     final_label,
@@ -26,17 +29,23 @@ from mftk import (
     partial_trace,
     post_process,
     povm_geq,
+    povm_to_conditional,
+    pure_state,
     random_channel,
     random_povm,
     random_state,
+    state_to_sic_probs,
     tensor,
     u_max,
+    urgleichung,
     xbasis_povm,
 )
 from mftk.agent import _final_set
-from mftk.errors import DimensionMismatchError
+from mftk.dilate import _moved_probe_states
+from mftk.errors import DimensionMismatchError, InconsistentPairError
 from mftk.measure import apply_channel, kraus_action
 from mftk.opalg import CHECK_ATOL, DECISION_ATOL, normalize_effects
+from mftk.sicrep import _affine_update
 
 
 def _random_spec(d_s, d_t, n, n_kraus, seed):
@@ -182,6 +191,121 @@ def test_blackwell_without_utilities_builds_no_decision_problem(monkeypatch):
     report = blackwell_consistency(computational_povm(2), xbasis_povm(), [basis_state(2, 0)],
                                    n_utilities=0)
     assert report.vacuous and report.consistent and report.reversals == 0
+
+
+# ----------------------------------------------------- reference projectors
+
+def test_sic_projectors_match_per_vector_outer_products():
+    for d in range(2, 6):
+        sic = build_sic(d)
+        expected = np.stack([np.outer(v, v.conj()) for v in sic.fiducial_states])
+        assert np.array_equal(sic.projectors(), expected)
+
+
+# ---------------------------------------------------------- affine update
+
+def _urgleichung_reference(p, r, d):
+    q = r @ ((d + 1) * p - 1.0 / d)
+    if q.min() < -CHECK_ATOL:
+        raise InconsistentPairError(f"inconsistent (p, r) pair: q({q.argmin()}) = {q.min():.3e}")
+    q = np.clip(q, 0.0, None)
+    return q / q.sum()
+
+
+def test_affine_update_matches_the_single_row_update():
+    for d in range(2, 6):
+        sic = build_sic(d)
+        for seed in range(4):
+            p = state_to_sic_probs(random_state(d, [d, seed]), sic)
+            for n in (1, 2, d + 1, d * d):
+                r = povm_to_conditional(sic, random_povm(d, n, seed=[d, seed, n]))
+                expected = _urgleichung_reference(p.probs, r.entries, d)
+                assert np.array_equal(_affine_update(p.probs[None], r.entries, d)[0], expected)
+                labels = tuple(str(j) for j in range(n))
+                got = urgleichung(p, r).probs
+                assert np.array_equal(got, OutcomeDistribution(labels, expected).probs)
+
+
+def test_affine_update_rejects_the_first_inconsistent_row():
+    # Overlaps of (I +- 1.2 sigma_x) / 2 with the tetrahedron are all
+    # non-negative, but states near the x axis give a negative q.
+    sic = build_sic(2)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = Povm.from_matrices(2, [(np.eye(2) + 1.2 * sx) / 2, (np.eye(2) - 1.2 * sx) / 2])
+    r = povm_to_conditional(sic, z).entries
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    states = [random_state(2, 61), pure_state(plus), pure_state(plus * [1, -1])]
+    p = np.stack([state_to_sic_probs(rho, sic).probs for rho in states])
+    with pytest.raises(InconsistentPairError) as first:
+        _urgleichung_reference(p[1], r, 2)
+    with pytest.raises(InconsistentPairError) as got:
+        _affine_update(p, r, 2)
+    assert str(got.value) == str(first.value)
+    assert np.array_equal(_affine_update(p[:1], r, 2)[0], _urgleichung_reference(p[0], r, 2))
+
+
+# ------------------------------------------------------ probabilistic check
+
+def _probcheck_reference(spec, z, n_states, seed, tol):
+    """The per-state loop: one reference-probability vector and one
+    update per state and side, each normalized as its value type does."""
+    sic_t, sic_s = build_sic(spec.dim_t), build_sic(spec.dim_s)
+    r_target = povm_to_conditional(sic_t, z).entries
+    r_pointer = povm_to_conditional(sic_s, spec.y).entries
+    operator = is_generalized_dilation(spec.y, z, spec, tol)
+    rng = np.random.default_rng([seed])
+    g = (rng.standard_normal((n_states, spec.dim_t, spec.dim_t))
+         + 1j * rng.standard_normal((n_states, spec.dim_t, spec.dim_t)))
+    rhos = np.einsum("nij,nkj->nik", g, g.conj())
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    moved = _moved_probe_states(spec, rhos)
+    probs_t = np.einsum("xij,nji->nx", sic_t.povm.matrices(), rhos).real
+    probs_s = np.einsum("xij,nji->nx", sic_s.povm.matrices(), moved).real
+
+    def update(p, r, d):
+        p = np.clip(p, 0.0, None)
+        q = _urgleichung_reference(p / p.sum(), r, d)
+        return q / q.sum()
+
+    max_gap = 0.0
+    for i in range(n_states):
+        p_z = update(probs_t[i], r_target, spec.dim_t)
+        p_y = update(probs_s[i], r_pointer, spec.dim_s)
+        max_gap = max(max_gap, float(np.max(np.abs(p_z - p_y))))
+    holds = max_gap <= tol
+    return max_gap, holds, holds == operator.holds
+
+
+def test_probabilistic_check_matches_the_per_state_loop():
+    # The specs, states and tolerance of acceptance criterion 3. The loop
+    # renormalized each side's reference probabilities and each result once
+    # more, which the stack skips, so max_gap agrees to round-off, not bits.
+    for d in (2, 3):
+        for i in range(100):
+            z = random_povm(d, 2 + i % 4, seed=[31, d, i])
+            spec = naimark_construct(z)
+            report = check_tuning_probabilistic(spec, z, n_states=50, seed=1000 * d + i, tol=1e-8)
+            max_gap, holds, agrees = _probcheck_reference(spec, z, 50, 1000 * d + i, 1e-8)
+            assert (report.holds, report.agrees) == (holds, agrees)
+            assert abs(report.max_gap - max_gap) <= 1e-14
+
+
+def test_probabilistic_check_builds_no_value_type_per_state(monkeypatch):
+    built = []
+    for cls in (SicProbVector, OutcomeDistribution):
+        original = cls.__post_init__
+
+        def spy(self, original=original, name=cls.__name__):
+            built.append(name)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    z = random_povm(3, 4, seed=71)
+    report = check_tuning_probabilistic(naimark_construct(z), z, n_states=50, seed=72)
+    assert report.holds and report.agrees
+    assert built == []
+    SicProbVector(2, np.full(4, 0.25))
+    assert built == ["SicProbVector"]
 
 
 # --------------------------------------------------------------- order LP

@@ -6,6 +6,7 @@ from mftk import (
     OutcomeDistribution,
     Povm,
     ProbabilityTable,
+    SicPovm,
     SicProbVector,
     StochasticMatrix,
     basis_state,
@@ -62,6 +63,26 @@ def test_build_sic_higher_dims_overlaps():
 def test_build_sic_unsupported_dimension():
     with pytest.raises(UnsupportedDimensionError, match="no built-in fiducial"):
         build_sic(7)
+
+
+def test_sic_povm_rejections_in_order():
+    sic = build_sic(2)
+    vecs, mats = sic.fiducial_states, list(sic.povm.matrices())
+    with pytest.raises(ValueError, match=r"^need 4 fiducial states, got 3$"):
+        SicPovm(dim=2, fiducial_states=vecs[:3], povm=sic.povm)
+    repeated = (vecs[0], vecs[0], vecs[2], vecs[3])
+    with pytest.raises(ValueError,
+                       match=r"^fiducial overlaps deviate from equiangularity by 6\.667e-01$"):
+        SicPovm(dim=2, fiducial_states=repeated, povm=sic.povm)
+    swapped = Povm.from_matrices(2, [mats[0], mats[2], mats[1], mats[3]], labels="abcd")
+    with pytest.raises(ValueError, match=r"^effect 'b' is not its fiducial projector / d$"):
+        SicPovm(dim=2, fiducial_states=vecs, povm=swapped)
+    # Each effect within 1e-9 of its projector / 2, the four together 3.6e-9 off.
+    shifted = Povm.from_matrices(2, [m + 0.9e-9 * np.eye(2) for m in mats])
+    with pytest.raises(ValueError, match=r"^reference effects do not sum to the identity$"):
+        SicPovm(dim=2, fiducial_states=vecs, povm=shifted)
+    accepted = SicPovm(dim=2, fiducial_states=vecs, povm=sic.povm)
+    assert np.array_equal(accepted.projectors(), sic.projectors())
 
 
 # ------------------------------------------------------- reference probs
