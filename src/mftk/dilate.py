@@ -248,9 +248,7 @@ def check_tuning_probabilistic(
     operator = is_generalized_dilation(spec.y, z, spec, tol)
 
     rng = np.random.default_rng([seed])
-    g = (rng.standard_normal((n_states, spec.dim_t, spec.dim_t))
-         + 1j * rng.standard_normal((n_states, spec.dim_t, spec.dim_t)))
-    rhos = np.einsum("nij,nkj->nik", g, g.conj())
+    rhos = opalg.ginibre_grams(rng, n_states, spec.dim_t)
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
     p_z = _reference_prediction(sic_t, r_target, rhos)
     p_y = _reference_prediction(sic_s, r_pointer, _moved_probe_states(spec, rhos))

@@ -504,8 +504,12 @@ def dump_json(obj) -> str:
 
 
 def save_json(filename: str, obj) -> None:
+    """Write ``dump_json(obj)`` to ``filename``. The object is serialized
+    before the file is opened, so one that cannot be encoded leaves an
+    existing file as it was."""
+    text = dump_json(obj)
     try:
         with open(filename, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(obj))
+            fh.write(text)
     except OSError as exc:
         raise SchemaError(filename, f"cannot write file: {exc.strerror or exc}") from exc

@@ -179,10 +179,18 @@ def normalize_effects(blocks) -> tuple[np.ndarray, np.ndarray]:
     zero) leaves effects that do not sum to the identity, so callers that
     need a valid POVM check ``w[..., 0]``.
     """
-    w, v = np.linalg.eigh(hermitize(np.sum(blocks, axis=-3)))
-    inv_root = (v / np.sqrt(np.clip(w, 1e-300, None))[..., None, :]) @ dagger(v)
+    inv_root, w, _ = _sum_inverse_root(blocks)
     inv_root = inv_root[..., None, :, :]
     return hermitize(inv_root @ blocks @ inv_root), w
+
+
+def _sum_inverse_root(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S^{-1/2} of the sum S of each set of n blocks in a (..., n, d, d) stack,
+    with S's ascending eigenvalues w and eigenvector columns v. Eigenvalues
+    are floored at 1e-300 before the root is taken."""
+    w, v = np.linalg.eigh(hermitize(np.sum(blocks, axis=-3)))
+    inv_root = (v / np.sqrt(np.clip(w, 1e-300, None))[..., None, :]) @ dagger(v)
+    return inv_root, w, v
 
 
 @dataclass(frozen=True)

@@ -364,12 +364,11 @@ def _repair_model(table, d, states, effect_sets):
 
 
 def _model_residual(table, states, povms):
-    worst = 0.0
-    for z, row in zip(povms, table.distributions):
-        for rho, q in zip(states, row):
-            got = born_probabilities(rho, z).probs
-            worst = max(worst, float(np.max(np.abs(got - q.probs))))
-    return worst
+    """Worst |Tr(rho_m E_o) - q_mo| over the table: one Born product per
+    measurement over the whole state stack."""
+    rhos = np.stack([rho.matrix for rho in states])
+    return max(float(np.max(np.abs(np.einsum("oij,mji->mo", z.matrices(), rhos).real - q)))
+               for z, q in zip(povms, table.as_arrays()))
 
 
 def _polish_unpack(xs, d, n_prep, counts):
@@ -409,16 +408,50 @@ def _polish_residuals(xs, d, n_prep, counts, q_arrays):
 
 
 def _polish_jacobian(x, d, n_prep, counts, q_arrays):
-    """2-point finite-difference Jacobian of ``_polish_residuals`` at x, shape (R, P).
+    """Exact Jacobian of ``_polish_residuals`` at one parameter vector x, shape (R, P).
 
-    Same steps as scipy's '2-point' scheme, h_i = sqrt(eps) sign(x_i)
-    max(1, |x_i|), but x and all P perturbed points are evaluated in one
-    batched call.
+    Residual r_mo = Tr(rho_m E_o) - q_mo of a measurement depends only on
+    the factor G_m of state m and on the factors G_j of the measurement's
+    Gram blocks A_j = G_j G_j^dag. For a Hermitian M, the derivative of
+    Tr(M G G^dag) along Re G is 2 Re(M G), and along Im G it is 2 Im(M G).
+    - State block: rho_m = G_m G_m^dag / t_m gives M = (E_o - p_mo) / t_m.
+    - Effect block: E_o = T A_o T with T = S^{-1/2}, S = sum_j A_j, gives
+      M = delta_oj T rho_m T + C_mo, where C_mo = U (F o U^dag B_mo U) U^dag,
+      B_mo = A_o T rho_m + rho_m T A_o, and U, lambda diagonalize S. F holds
+      the Daleckii-Krein divided differences of lambda^{-1/2}, which in
+      closed form -1 / (sqrt(l_i) sqrt(l_j) (sqrt(l_i) + sqrt(l_j))) need no
+      case for equal eigenvalues.
+    Each measurement's rows are filled in one pass over its stacks.
     """
-    sign = np.where(x >= 0, 1.0, -1.0)
-    h = np.sqrt(np.finfo(float).eps) * sign * np.maximum(1.0, np.abs(x))
-    f = _polish_residuals(np.vstack([x, x + np.diag(h)]), d, n_prep, counts, q_arrays)
-    return (f[1:] - f[0]).T / ((x + h) - x)
+    half = x.reshape(-1, 2, d, d)
+    gs = half[:, 0] + 1j * half[:, 1]
+    grams = gs @ opalg.dagger(gs)
+    traces = np.clip(np.trace(grams[:n_prep], axis1=-2, axis2=-1).real, 1e-300, None)
+    rhos = grams[:n_prep] / traces[:, None, None]
+    g_states = gs[:n_prep, None]
+    jac = np.zeros((n_prep * sum(counts), len(gs), 2, d, d))
+    prep = np.arange(n_prep)
+    row, at = 0, n_prep
+    for n in counts:
+        a = grams[at:at + n]
+        t, w, u = opalg._sum_inverse_root(a)
+        effects = opalg.hermitize(t @ a @ t)
+        probs = np.einsum("oij,mji->mo", effects, rhos).real
+        d_states = 2 * (effects @ g_states - probs[..., None, None] * g_states)
+        d_states /= traces[:, None, None, None]
+        root = np.sqrt(np.clip(w, 1e-300, None))
+        f = -1 / (root[:, None] * root[None, :] * (root[:, None] + root[None, :]))
+        a_t_rho = a @ (t @ rhos)[:, None]  # (n_prep, n, d, d): A_o T rho_m
+        b = a_t_rho + opalg.dagger(a_t_rho)
+        c = u @ (f * (opalg.dagger(u) @ b @ u)) @ opalg.dagger(u)
+        m = c[:, :, None] + np.eye(n)[:, :, None, None] * (t @ rhos @ t)[:, None, None]
+        d_effects = 2 * m @ gs[at:at + n]  # (n_prep, n_o, n_j, d, d)
+        block = jac[row:row + n_prep * n].reshape(n_prep, n, len(gs), 2, d, d)
+        block[prep, :, prep] = np.stack([d_states.real, d_states.imag], axis=2)
+        block[:, :, at:at + n] = np.stack([d_effects.real, d_effects.imag], axis=3)
+        row += n_prep * n
+        at += n
+    return jac.reshape(row, -1)
 
 
 def _polish_model(d, states, effect_sets, q_arrays):
@@ -431,8 +464,11 @@ def _polish_model(d, states, effect_sets, q_arrays):
     Gram blocks. On that parametrization the residuals are smooth and a
     trust-region least-squares run converges locally fast. Takes and
     returns an (n_prep, d, d) state stack and one (n_k, d, d) stack per
-    measurement. ``least_squares`` gets ``_polish_jacobian`` as ``jac``,
-    which evaluates every finite-difference point in one batch.
+    measurement. ``least_squares`` gets the exact Jacobian
+    ``_polish_jacobian`` (chain rule through G G^dag / tr for the states,
+    Daleckii-Krein divided differences of S^{-1/2} for the effects) as
+    ``jac``: one pass per measurement over the model's stacks, with no
+    residual evaluations.
     """
     n_prep = len(states)
     counts = tuple(len(effects) for effects in effect_sets)

@@ -268,6 +268,15 @@ def test_save_and_load(tmp_path):
     np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-15)
 
 
+def test_save_json_keeps_the_old_file_when_serializing_fails(tmp_path):
+    target = tmp_path / "state.json"
+    save_json(str(target), state_to_obj(random_state(2, seed=88)))
+    before = target.read_text()
+    with pytest.raises(TypeError):
+        save_json(str(target), {"a": object()})
+    assert target.read_text() == before
+
+
 def test_load_json_failure_modes(tmp_path):
     with pytest.raises(SchemaError, match="cannot read"):
         load_json(str(tmp_path / "missing.json"))

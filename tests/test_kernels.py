@@ -44,7 +44,7 @@ from mftk.agent import _final_set
 from mftk.dilate import _moved_probe_states
 from mftk.errors import DimensionMismatchError, InconsistentPairError
 from mftk.measure import apply_channel, kraus_action
-from mftk.opalg import CHECK_ATOL, DECISION_ATOL, normalize_effects
+from mftk.opalg import CHECK_ATOL, DECISION_ATOL, ginibre_grams, normalize_effects
 from mftk.sicrep import _affine_update
 
 
@@ -253,10 +253,7 @@ def _probcheck_reference(spec, z, n_states, seed, tol):
     r_target = povm_to_conditional(sic_t, z).entries
     r_pointer = povm_to_conditional(sic_s, spec.y).entries
     operator = is_generalized_dilation(spec.y, z, spec, tol)
-    rng = np.random.default_rng([seed])
-    g = (rng.standard_normal((n_states, spec.dim_t, spec.dim_t))
-         + 1j * rng.standard_normal((n_states, spec.dim_t, spec.dim_t)))
-    rhos = np.einsum("nij,nkj->nik", g, g.conj())
+    rhos = ginibre_grams(np.random.default_rng([seed]), n_states, spec.dim_t)
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
     moved = _moved_probe_states(spec, rhos)
     probs_t = np.einsum("xij,nji->nx", sic_t.povm.matrices(), rhos).real

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.optimize
 
 from mftk import (
     OutcomeDistribution,
@@ -319,20 +318,42 @@ def test_discover_names_an_empty_table(n_prep, labels, rows, empty):
         discover_system(table, 2)
 
 
-def test_polish_jacobian_matches_scipy_finite_differences():
-    rng = np.random.default_rng(41)
-    for d, n_prep, counts in ((2, 3, (2, 2)), (3, 4, (3, 3))):
-        n_params = (n_prep + sum(counts)) * 2 * d * d
-        q_arrays = [rng.dirichlet(np.ones(n), size=n_prep) for n in counts]
-        args = (d, n_prep, counts, q_arrays)
-        for _ in range(3):
-            x = rng.standard_normal(n_params)
-            jac = _polish_jacobian(x, *args)
-            step = np.sqrt(np.finfo(float).eps)
-            reference = scipy.optimize.approx_fprime(x, _polish_residuals, step, *args)
-            assert jac.shape == reference.shape == (n_prep * sum(counts), n_params)
-            gap = np.linalg.norm(jac - reference) / np.linalg.norm(reference)
-            assert gap < 1e-5
+def _central_differences(x, args, h=1e-6):
+    # Column i is (r(x + h e_i) - r(x - h e_i)) / 2h, every point in one batch.
+    steps = h * np.eye(x.size)
+    f = _polish_residuals(np.vstack([x + steps, x - steps]), *args)
+    return ((f[:x.size] - f[x.size:]) / (2 * h)).T
+
+
+def _scalar_sum_point(rng, d, n_prep, counts):
+    # Random state factors; every effect factor is a permutation matrix over
+    # sqrt(n), so all G_j G_j^dag are the same multiple of I, and so is S.
+    factors = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+               for _ in range(n_prep)]
+    for n in counts:
+        factors += [np.eye(d)[rng.permutation(d)] / np.sqrt(n) for _ in range(n)]
+    factors = np.array(factors)
+    return np.stack([factors.real, factors.imag], axis=1).ravel()
+
+
+@pytest.mark.parametrize("d, n_prep, counts", [(2, 3, (2, 2)), (3, 4, (3, 3)), (4, 3, (4, 2, 3))],
+                         ids=["d2", "d3", "d4"])
+def test_polish_jacobian_matches_central_differences(d, n_prep, counts):
+    rng = np.random.default_rng([41, d])
+    n_params = (n_prep + sum(counts)) * 2 * d * d
+    q_arrays = [rng.dirichlet(np.ones(n), size=n_prep) for n in counts]
+    args = (d, n_prep, counts, q_arrays)
+    degenerate = _scalar_sum_point(rng, d, n_prep, counts)
+    half = degenerate.reshape(-1, 2, d, d)
+    for at, n in zip(np.cumsum((n_prep,) + counts[:-1]), counts):
+        g = half[at:at + n, 0] + 1j * half[at:at + n, 1]
+        s = np.sum(g @ opalg.dagger(g), axis=0)
+        assert np.array_equal(s, s[0, 0] * np.eye(d))  # every eigenvalue of S equal
+    for x in [rng.standard_normal(n_params) for _ in range(3)] + [degenerate]:
+        jac = _polish_jacobian(x, *args)
+        reference = _central_differences(x, args)
+        assert jac.shape == reference.shape == (n_prep * sum(counts), n_params)
+        assert np.linalg.norm(jac - reference) <= 1e-6 * np.linalg.norm(reference)
 
 
 def test_polish_residuals_batch_matches_single_points():
@@ -395,14 +416,15 @@ def _contradictory_table():
     )
 
 
-# (d, n_prep, trial, max_iters, restarts) -> (restarts_used, residual), as
-# recorded when restarts ran one after another. Run alone, restart by
-# restart, the first table fits at restarts 2, 4 and 5 of 5 and the second
-# at restarts 4 and 5 of 6, so each has a failure before its first success
-# and a later success that must not win.
+# (d, n_prep, trial, max_iters, restarts) -> (restarts_used, residual).
+# restarts_used was recorded when restarts ran one after another; the
+# residuals are those of the polish with the exact Jacobian. Run alone,
+# restart by restart, the first table fits at restarts 2, 4 and 5 of 5 and
+# the second at restarts 4 and 5 of 6, so each has a failure before its
+# first success and a later success that must not win.
 _BATCH_ORDER_PINS = {
-    (3, 4, 7, 8, 5): (2, 4.196268332812281e-12),
-    (2, 3, 2, 3, 6): (4, 6.036282584886976e-13),
+    (3, 4, 7, 8, 5): (2, 1.404432126150823e-13),
+    (2, 3, 2, 3, 6): (4, 4.610201109755963e-13),
 }
 
 
