@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalg
-from .errors import DimensionMismatchError, OutcomeCountMismatchError
+from .errors import DimensionMismatchError, InconsistentPairError, OutcomeCountMismatchError
 from .measure import (
     DensityMatrix,
     Povm,
@@ -238,7 +238,9 @@ def check_tuning_probabilistic(
     affine update of their built-in reference probabilities, and the
     pointer side P(y) the same update on the moved probe states. The
     report records the worst |P(z) - P(y)| over states and whether that
-    agrees with the operator-equality verdict at the same tolerance.
+    agrees with the operator-equality verdict at the same tolerance. A
+    target effect with an eigenvalue below -tol raises
+    ``InconsistentPairError``, whatever the states drawn.
     """
     if n_states < 0:
         raise ValueError(f"n_states must be >= 0, got {n_states}")
@@ -251,6 +253,11 @@ def check_tuning_probabilistic(
     rhos = opalg.ginibre_grams(rng, n_states, spec.dim_t)
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
     p_z = _reference_prediction(sic_t, r_target, rhos)
+    low = np.linalg.eigvalsh(z.matrices())[:, 0]
+    k = int(low.argmin())
+    if low[k] < -tol:
+        raise InconsistentPairError(
+            f"target effect {z.effects[k].label!r} has eigenvalue {low[k]:.3e}")
     p_y = _reference_prediction(sic_s, r_pointer, _moved_probe_states(spec, rhos))
     max_gap = float(np.max(np.abs(p_z - p_y), initial=0.0))
     holds = max_gap <= tol

@@ -366,6 +366,8 @@ def apply_channel(phi: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
 
 def random_state(dim: int, seed) -> DensityMatrix:
     """Ginibre-induced random density matrix, deterministic in the seed."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     m = opalg.ginibre_grams(np.random.default_rng(seed), 1, dim)[0]
     return DensityMatrix(dim=dim, matrix=m / np.trace(m).real)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import opalg
 from .errors import DimensionMismatchError, SolverError
@@ -27,6 +26,13 @@ from .measure import (
     born_probabilities,
 )
 from .opalg import CHECK_ATOL, DECISION_ATOL
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use to keep ``import mftk`` light."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def bayes_update(prior_h: float, prior_e: float, likelihood_e_given_h: float) -> float:
@@ -274,6 +280,8 @@ def blackwell_consistency(
     fails. Sampling cannot certify the converse direction, so absence
     of reversals never upgrades the verdict.
     """
+    if n_utilities < 0:
+        raise ValueError(f"n_utilities must be >= 0, got {n_utilities}")
     states = list(state_family)
     geq = povm_geq(z, x, tol).holds
     violations = []

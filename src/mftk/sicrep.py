@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import opalg
 from .errors import (
@@ -475,6 +474,8 @@ def _polish_model(d, states, effect_sets, q_arrays):
     w, v = np.linalg.eigh(opalg.hermitize(np.concatenate([states, *effect_sets])))
     factors = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     args = (d, n_prep, counts, q_arrays)
+    import scipy.optimize
+
     sol = scipy.optimize.least_squares(
         _polish_residuals, np.stack([factors.real, factors.imag], axis=1).ravel(),
         jac=_polish_jacobian, args=args, method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-12,

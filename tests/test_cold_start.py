@@ -1,0 +1,67 @@
+"""``scipy.optimize`` is loaded only when a solver runs.
+
+Each check starts a fresh interpreter, since this test process has long
+since imported scipy. The last line a child prints is the verdict.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from mftk import compare, computational_povm, povm_to_obj, save_json, xbasis_povm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LOADED = "print('scipy.optimize' in sys.modules)"
+
+
+def _fresh(code: str) -> list[str]:
+    """Stdout lines of ``code`` run in a new interpreter that imports mftk from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.splitlines()
+
+
+def test_import_mftk_leaves_scipy_optimize_unloaded():
+    lines = _fresh(f"import sys, mftk, mftk.order\n{LOADED}\n"
+                   "print(callable(mftk.order.linprog))")
+    assert lines == ["False", "True"]
+
+
+def test_sic_build_leaves_scipy_optimize_unloaded():
+    lines = _fresh("import sys\nfrom mftk.cli import main\n"
+                   f"assert main(['sic', 'build', '--dim', '3', '--json']) == 0\n{LOADED}")
+    assert json.loads("\n".join(lines[:-1]))["dim"] == 3
+    assert lines[-1] == "False"
+
+
+def test_validate_leaves_scipy_optimize_unloaded(tmp_path):
+    path = str(tmp_path / "z.json")
+    save_json(path, povm_to_obj(computational_povm(2)))
+    lines = _fresh(f"import sys\nfrom mftk.cli import main\n"
+                   f"assert main(['validate', {path!r}]) == 0\n{LOADED}")
+    assert lines[-1] == "False"
+
+
+def test_compare_loads_scipy_optimize_with_an_unchanged_verdict():
+    # Positive control: the order LP does import the solver, and the
+    # verdict from a cold process matches this (warm) one.
+    lines = _fresh(
+        "import json, sys\nfrom mftk import compare, computational_povm, xbasis_povm\n"
+        f"{LOADED}\n"
+        "for v in (compare(computational_povm(2), xbasis_povm()),\n"
+        "          compare(computational_povm(2), computational_povm(2))):\n"
+        "    print(json.dumps([v.relation, v.residual_forward, v.residual_backward,\n"
+        "                      v.witness_forward and v.witness_forward.entries.tolist()]))\n"
+        f"{LOADED}")
+    assert lines[0] == "False" and lines[-1] == "True"
+    incomparable = compare(computational_povm(2), xbasis_povm())
+    equivalent = compare(computational_povm(2), computational_povm(2))
+    assert json.loads(lines[1]) == [
+        "incomparable", incomparable.residual_forward, incomparable.residual_backward, None]
+    assert json.loads(lines[2]) == [
+        "equivalent", equivalent.residual_forward, equivalent.residual_backward,
+        equivalent.witness_forward.entries.tolist()]

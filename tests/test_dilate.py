@@ -245,6 +245,18 @@ def test_probabilistic_check_rejects_a_target_that_is_not_psd():
         check_tuning_probabilistic(naimark_construct(computational_povm(2)), z, seed=1)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_probabilistic_check_rejects_a_non_psd_target_for_every_seed(seed):
+    # Whether a draw lands where q < 0 depends on the seed; the target's own
+    # eigenvalue check does not.
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = Povm.from_matrices(2, [(np.eye(2) + 1.2 * sx) / 2, (np.eye(2) - 1.2 * sx) / 2])
+    with pytest.raises(InconsistentPairError,
+                       match=r"^(inconsistent \(p, r\) pair: q\(0\) = -|"
+                             r"target effect '0' has eigenvalue -1\.000e-01$)"):
+        check_tuning_probabilistic(naimark_construct(computational_povm(2)), z, seed=seed)
+
+
 def test_probabilistic_check_rejects_a_negative_state_count():
     z = random_povm(2, 2, seed=52)
     with pytest.raises(ValueError, match="n_states"):

@@ -209,6 +209,12 @@ def test_random_state_is_valid_and_seeded():
     assert np.trace(a.matrix).real == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_random_state_rejects_a_nonpositive_dim(dim):
+    with pytest.raises(ValueError, match=r"^dim must be >= 1$"):
+        random_state(dim, seed=0)
+
+
 def test_random_povm_is_valid():
     for i in range(10):
         p = random_povm(2 + i % 3, 2 + i % 4, seed=[6, i])

@@ -291,6 +291,17 @@ def test_blackwell_rejects_an_empty_state_family():
         blackwell_consistency(computational_povm(2), xbasis_povm(), [], n_utilities=3)
 
 
+def test_blackwell_rejects_a_negative_utility_count(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran before the argument check")
+
+    monkeypatch.setattr(mftk.order, "linprog", no_lp)
+    with pytest.raises(ValueError, match=r"^n_utilities must be >= 0, got -1$"):
+        blackwell_consistency(computational_povm(2), xbasis_povm(),
+                              [pure_state(v) for v in build_sic(2).fiducial_states],
+                              n_utilities=-1)
+
+
 def _failing_linprog(*args, **kwargs):
     return scipy.optimize.OptimizeResult(
         success=False, status=4, message="Numerical difficulties encountered.", x=None)
