@@ -11,6 +11,7 @@ files), 1 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -50,15 +51,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _matrix_lines(m, indent: str = "  ") -> list[str]:
-    m = np.asarray(m)
-    out = []
-    for row in m:
-        if np.iscomplexobj(m):
-            cells = ", ".join(_fmt_complex(v) for v in row)
-        else:
-            cells = ", ".join(_fmt(v) for v in row)
-        out.append(f"{indent}[{cells}]")
-    return out
+    return [f"{indent}[{', '.join(_fmt_complex(v) for v in row)}]" for row in m]
 
 
 def _emit(args, obj: dict, lines: list[str], saved: dict | None = None) -> None:
@@ -464,7 +457,9 @@ _SEED = _flag("--seed", type=int, default=0, help="seed for any randomness")
 _JSON = _flag("--json", action="store_true", help="emit one JSON object")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``mf`` parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="mf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -66,10 +66,8 @@ class DilationSpec:
 
 def _moved_probe_states(spec: DilationSpec, rhos: np.ndarray) -> np.ndarray:
     """Probe marginals of Phi(sigma (x) rho), batched over target states."""
-    n, d_s, d_t = len(rhos), spec.dim_s, spec.dim_t
-    joint = np.einsum("ab,ncd->nacbd", spec.sigma.matrix, rhos).reshape(n, d_s * d_t, d_s * d_t)
-    out = kraus_action(spec.phi.kraus, joint)
-    return unit_trace(np.einsum("nsata->nst", out.reshape(n, d_s, d_t, d_s, d_t)))
+    out = kraus_action(spec.phi.kraus, opalg.tensor(spec.sigma.matrix, rhos))
+    return unit_trace(opalg.partial_trace(out, spec.dim_s, spec.dim_t))
 
 
 def apply_apparatus(spec: DilationSpec, rho: DensityMatrix) -> DensityMatrix:
@@ -83,12 +81,11 @@ def apply_apparatus(spec: DilationSpec, rho: DensityMatrix) -> DensityMatrix:
 def _induced_effects(spec: DilationSpec, y: Povm) -> np.ndarray:
     """Effects Tr_S[(sigma (x) 1) Phi*(Y_z (x) 1)] induced on the target by
     reading pointer ``y`` off the apparatus, stacked (n, dim_t, dim_t)."""
-    n, d_s, d_t = y.n_outcomes, spec.dim_s, spec.dim_t
-    eye_t = np.eye(d_t, dtype=complex)
-    lifted = np.einsum("xab,cd->xacbd", y.matrices(), eye_t).reshape(n, d_s * d_t, d_s * d_t)
+    eye_t = np.eye(spec.dim_t, dtype=complex)
+    lifted = opalg.tensor(y.matrices(), eye_t)
     heis = kraus_action([opalg.dagger(k) for k in spec.phi.kraus], lifted)
-    moved = np.kron(spec.sigma.matrix, eye_t) @ heis
-    return opalg.hermitize(np.einsum("xsasb->xab", moved.reshape(n, d_s, d_t, d_s, d_t)))
+    moved = opalg.tensor(spec.sigma.matrix, eye_t) @ heis
+    return opalg.hermitize(opalg.partial_trace(moved, spec.dim_s, spec.dim_t, keep="second"))
 
 
 def induced_povm(spec: DilationSpec) -> Povm:

@@ -85,6 +85,7 @@ class Povm:
                     f"effect {e.label!r} is {e.matrix.shape}, POVM dim is {self.dim}"
                 )
         object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "_matrix_stack", opalg.freeze([e.matrix for e in effects]))
 
     @classmethod
     def from_matrices(cls, dim: int, matrices, labels=None) -> "Povm":
@@ -102,17 +103,9 @@ class Povm:
         return tuple(e.label for e in self.effects)
 
     def matrices(self) -> np.ndarray:
-        """Stacked (n_outcomes, dim, dim) array of effect matrices.
-
-        Computed once and kept; effect matrices are read-only so the
-        stack cannot go stale.
-        """
-        cached = self.__dict__.get("_matrix_stack")
-        if cached is None:
-            cached = np.stack([e.matrix for e in self.effects])
-            cached.setflags(write=False)
-            object.__setattr__(self, "_matrix_stack", cached)
-        return cached
+        """Read-only stacked (n_outcomes, dim, dim) array of effect matrices,
+        built once on construction."""
+        return self._matrix_stack
 
 
 def computational_povm(dim: int) -> Povm:
@@ -157,6 +150,8 @@ class OutcomeDistribution:
         labels = tuple(str(l) for l in self.labels)
         if len(labels) != p.size:
             raise ValueError(f"{len(labels)} labels for {p.size} probabilities")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if p.min(initial=0.0) < -PROB_CLAMP:
             raise ValueError(f"negative probability {p.min():.3e}")
         total = p.sum()
@@ -231,6 +226,8 @@ class StochasticMatrix:
             raise DimensionMismatchError(
                 f"entries are {m.shape}, expected {(self.n_out, self.n_in)}"
             )
+        if not np.all(np.isfinite(m)):
+            raise ValueError("conditional probabilities must be finite")
         if m.min(initial=0.0) < -PROB_CLAMP:
             raise ValueError(f"negative conditional probability {m.min():.3e}")
         sums = m.sum(axis=0)
@@ -291,43 +288,43 @@ class ValidationReport:
 
 
 def validate_povm(p: Povm, atol: float = CHECK_ATOL) -> ValidationReport:
-    """Check Hermiticity and positivity of every effect and completeness of the sum.
+    """Check Hermiticity and positivity of every effect and completeness of
+    the sum, each within ``atol``.
 
     Returns a report listing each violated invariant with its magnitude;
     the report is empty exactly when the POVM is valid.
     """
+    stack = p.matrices()
+    herm = np.max(np.abs(stack - opalg.dagger(stack)), axis=(1, 2))
+    low = np.linalg.eigvalsh(opalg.hermitize(stack))[:, 0]
     found = []
-    for e in p.effects:
-        herm = float(np.max(np.abs(e.matrix - opalg.dagger(e.matrix))))
-        if herm > atol:
-            found.append(Violation("hermiticity", herm, f"effect {e.label!r} is not Hermitian"))
-            continue
-        low = float(np.linalg.eigvalsh(opalg.hermitize(e.matrix))[0])
-        if low < -CHECK_ATOL:
+    for e, h, w in zip(p.effects, herm, low):
+        if h > atol:
+            found.append(Violation("hermiticity", float(h), f"effect {e.label!r} is not Hermitian"))
+        elif w < -atol:
             found.append(
-                Violation("positivity", -low, f"effect {e.label!r} has eigenvalue {low:.3e}")
+                Violation("positivity", float(-w), f"effect {e.label!r} has eigenvalue {w:.3e}")
             )
-    total = sum(e.matrix for e in p.effects)
-    gap = np.abs(total - np.eye(p.dim))
+    gap = np.abs(stack.sum(axis=0) - np.eye(p.dim))
     residual = float(np.max(gap))
     if residual > atol:
         row, col = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        found.append(
-            Violation(
-                "completeness",
-                residual,
-                f"effect sum deviates from identity at entry ({row}, {col})",
-            )
-        )
+        found.append(Violation("completeness", residual,
+                               f"effect sum deviates from identity at entry ({row}, {col})"))
     return ValidationReport(tuple(found))
+
+
+def _born(effects: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Born probabilities Tr(rho_n E_x) of an (..., n, d, d) state stack under
+    an (..., x, d, d) effect stack, shape (..., n, x)."""
+    return np.einsum("...xij,...nji->...nx", effects, rhos).real
 
 
 def born_probabilities(rho: DensityMatrix, p: Povm) -> OutcomeDistribution:
     """Outcome distribution Tr(rho E_j) of a measurement on a state."""
     if rho.dim != p.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != POVM dim {p.dim}")
-    probs = np.einsum("xij,ji->x", p.matrices(), rho.matrix).real
-    return OutcomeDistribution(labels=p.labels, probs=probs)
+    return OutcomeDistribution(labels=p.labels, probs=_born(p.matrices(), rho.matrix[None])[0])
 
 
 def post_process(p: Povm, lam: StochasticMatrix, labels=None) -> Povm:

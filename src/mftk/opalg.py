@@ -90,28 +90,32 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the row-major index convention
-    (i_a, i_b) -> i_a * rows_b + i_b."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product of two matrices, or pairwise of two (..., n, n)
+    stacks that broadcast against each other, with the row-major index
+    convention (i_a, i_b) -> i_a * rows_b + i_b."""
+    out = np.einsum("...ab,...cd->...acbd", as_matrix_stack(a), as_matrix_stack(b))
+    n = out.shape[-4] * out.shape[-3]
+    return out.reshape(*out.shape[:-4], n, n)
 
 
 def partial_trace(m, dim_first: int, dim_second: int, keep: str = "first") -> np.ndarray:
-    """Trace out one factor of an operator on a bipartite space.
+    """Trace out one factor of an operator on a bipartite space, matrix by
+    matrix on a (..., n, n) stack.
 
-    ``m`` must be square of size dim_first * dim_second; ``keep`` selects
+    Each matrix must be of size dim_first * dim_second; ``keep`` selects
     which factor the reduced operator lives on.
     """
-    m = as_matrix(m)
+    m = as_matrix_stack(m)
     n = dim_first * dim_second
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         raise DimensionMismatchError(
-            f"matrix is {m.shape}, expected {(n, n)} for dims ({dim_first}, {dim_second})"
+            f"matrix is {m.shape[-2:]}, expected {(n, n)} for dims ({dim_first}, {dim_second})"
         )
-    blocks = m.reshape(dim_first, dim_second, dim_first, dim_second)
+    blocks = m.reshape(*m.shape[:-2], dim_first, dim_second, dim_first, dim_second)
     if keep == "first":
-        return np.einsum("ijkj->ik", blocks)
+        return np.einsum("...ijkj->...ik", blocks)
     if keep == "second":
-        return np.einsum("ijil->jl", blocks)
+        return np.einsum("...ijil->...jl", blocks)
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
@@ -209,8 +213,10 @@ class HermitianBasis:
 
     @functools.cached_property
     def _transform(self) -> np.ndarray:
-        """Row k is the flattened element B_k; built on first use."""
-        return np.stack(self.elements).reshape(len(self.elements), -1)
+        """Row k is the flattened element B_k; built on first use, read-only."""
+        out = np.stack(self.elements).reshape(len(self.elements), -1)
+        out.setflags(write=False)
+        return out
 
     def coords(self, h) -> np.ndarray:
         """Real coefficients of one Hermitian matrix or of a (..., d, d) stack."""
@@ -243,8 +249,10 @@ class HermitianBasis:
         return (coords @ self._transform).reshape(*coords.shape[:-1], d, d)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def hermitian_basis(dim: int) -> HermitianBasis:
-    """Identity/sqrt(d) plus trace-normalized generalized Gell-Mann matrices."""
+    """Identity/sqrt(d) plus trace-normalized generalized Gell-Mann matrices,
+    built once per dimension: equal ``dim`` gives the same immutable basis."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     elements = [np.eye(dim, dtype=complex) / np.sqrt(dim)]

@@ -133,21 +133,15 @@ def is_trivial_class(p: Povm, tol: float = DECISION_ATOL) -> bool:
     about the state: the equivalence class of the single-outcome
     measurement.
     """
-    eye = np.eye(p.dim)
-    for e in p.effects:
-        scale = np.trace(e.matrix).real / p.dim
-        if np.max(np.abs(e.matrix - scale * eye)) > tol:
-            return False
-    return True
+    m = p.matrices()
+    scale = np.trace(m, axis1=1, axis2=2).real / p.dim
+    return bool(np.max(np.abs(m - scale[:, None, None] * np.eye(p.dim))) <= tol)
 
 
 def is_rank_one_povm(p: Povm, tol: float = DECISION_ATOL) -> bool:
     """True when every nonzero effect has rank one (eigenvalues above tol)."""
-    for e in p.effects:
-        w = np.linalg.eigvalsh(opalg.hermitize(e.matrix))
-        if np.sum(w > tol) > 1:
-            return False
-    return True
+    w = np.linalg.eigvalsh(opalg.hermitize(p.matrices()))
+    return bool(np.all(np.sum(w > tol, axis=1) <= 1))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .measure import (
     OutcomeDistribution,
     Povm,
     StochasticMatrix,
+    _born,
     born_probabilities,
     validate_povm,
 )
@@ -149,6 +150,8 @@ class SicProbVector:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.size != self.dim**2:
             raise DimensionMismatchError(f"expected {self.dim ** 2} entries, got {p.size}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("reference probabilities must be finite")
         if p.min(initial=0.0) < -PROB_CLAMP:
             raise ValueError(f"negative reference probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > ROUNDOFF_ATOL:
@@ -198,7 +201,7 @@ def povm_to_conditional(sic: SicPovm, target: Povm) -> StochasticMatrix:
     """
     if target.dim != sic.dim:
         raise DimensionMismatchError(f"target dim {target.dim} != reference dim {sic.dim}")
-    r = np.einsum("ijk,xkj->xi", sic.projectors(), target.matrices()).real
+    r = _born(sic.projectors(), target.matrices())
     return StochasticMatrix(n_in=sic.dim**2, n_out=target.n_outcomes, entries=r)
 
 
@@ -216,8 +219,7 @@ def _affine_update(p: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
 
 def _reference_prediction(sic: SicPovm, r: StochasticMatrix, rhos: np.ndarray) -> np.ndarray:
     """(n, m) outcome probabilities under table r of an (n, d, d) state stack."""
-    p = np.einsum("xij,nji->nx", sic.povm.matrices(), rhos).real
-    return _affine_update(p, r.entries, sic.dim)
+    return _affine_update(_born(sic.povm.matrices(), rhos), r.entries, sic.dim)
 
 
 def urgleichung(p: SicProbVector, r: StochasticMatrix, labels=None) -> OutcomeDistribution:
@@ -366,24 +368,31 @@ def _model_residual(table, states, povms):
     """Worst |Tr(rho_m E_o) - q_mo| over the table: one Born product per
     measurement over the whole state stack."""
     rhos = np.stack([rho.matrix for rho in states])
-    return max(float(np.max(np.abs(np.einsum("oij,mji->mo", z.matrices(), rhos).real - q)))
+    return max(float(np.max(np.abs(_born(z.matrices(), rhos) - q)))
                for z, q in zip(povms, table.as_arrays()))
 
 
-def _polish_unpack(xs, d, n_prep, counts):
-    """Models at a batch of polish parameter vectors, shape (..., P).
-
-    The vector holds the real and imaginary parts of one d x d factor G
-    per matrix. Returns the (..., n_prep, d, d) states G G^dag / tr and,
-    per measurement, the (..., n_k, d, d) effects S^{-1/2} G G^dag S^{-1/2},
-    where S is the sum of the measurement's Gram blocks.
-    """
+def _polish_factors(xs, d, n_prep):
+    """Polish parameter vectors, shape (..., P), each the real and imaginary
+    parts of one d x d factor G per matrix, as (..., N, d, d) factors G and
+    Grams G G^dag, plus the first n_prep Grams' traces (floored at 1e-300)
+    and states G G^dag / tr."""
     half = xs.reshape(*xs.shape[:-1], -1, 2, d, d)
     gs = half[..., 0, :, :] + 1j * half[..., 1, :, :]
     grams = gs @ opalg.dagger(gs)
     rhos = grams[..., :n_prep, :, :]
     traces = np.clip(np.trace(rhos, axis1=-2, axis2=-1).real, 1e-300, None)
-    states = rhos / traces[..., None, None]
+    return gs, grams, traces, rhos / traces[..., None, None]
+
+
+def _polish_unpack(xs, d, n_prep, counts):
+    """Models at a batch of polish parameter vectors, shape (..., P).
+
+    Returns the (..., n_prep, d, d) states of ``_polish_factors`` and, per
+    measurement, the (..., n_k, d, d) effects S^{-1/2} G G^dag S^{-1/2},
+    where S is the sum of the measurement's Gram blocks.
+    """
+    _, grams, _, states = _polish_factors(xs, d, n_prep)
     effect_sets = []
     at = n_prep
     for n in counts:
@@ -422,11 +431,7 @@ def _polish_jacobian(x, d, n_prep, counts, q_arrays):
       case for equal eigenvalues.
     Each measurement's rows are filled in one pass over its stacks.
     """
-    half = x.reshape(-1, 2, d, d)
-    gs = half[:, 0] + 1j * half[:, 1]
-    grams = gs @ opalg.dagger(gs)
-    traces = np.clip(np.trace(grams[:n_prep], axis1=-2, axis2=-1).real, 1e-300, None)
-    rhos = grams[:n_prep] / traces[:, None, None]
+    gs, grams, traces, rhos = _polish_factors(x, d, n_prep)
     g_states = gs[:n_prep, None]
     jac = np.zeros((n_prep * sum(counts), len(gs), 2, d, d))
     prep = np.arange(n_prep)
@@ -435,7 +440,7 @@ def _polish_jacobian(x, d, n_prep, counts, q_arrays):
         a = grams[at:at + n]
         t, w, u = opalg._sum_inverse_root(a)
         effects = opalg.hermitize(t @ a @ t)
-        probs = np.einsum("oij,mji->mo", effects, rhos).real
+        probs = _born(effects, rhos)
         d_states = 2 * (effects @ g_states - probs[..., None, None] * g_states)
         d_states /= traces[:, None, None, None]
         root = np.sqrt(np.clip(w, 1e-300, None))

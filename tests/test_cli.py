@@ -8,6 +8,7 @@ import scipy.optimize
 import mftk.order
 
 from mftk import (
+    Povm,
     ProbabilityTable,
     StochasticMatrix,
     agent_to_obj,
@@ -95,6 +96,46 @@ def test_validate_good_and_bad_povm(tmp_path, capsys):
     assert main(["validate", bad, "--json"]) == 2
     out = _json_out(capsys)
     assert out["valid"] is False and out["violations"]
+
+
+def test_validate_tol_covers_positivity(tmp_path, capsys):
+    tiny = Povm.from_matrices(2, [np.diag([1 + 1e-7, 0.5]), np.diag([-1e-7, 0.5])])
+    target = _write(tmp_path, "tiny.json", povm_to_obj(tiny))
+    assert main(["validate", target, "--json"]) == 2
+    assert _json_out(capsys)["violations"] == [
+        "positivity: effect '1' has eigenvalue -1.000e-07 (magnitude 1.000e-07)"]
+    assert main(["validate", target, "--tol", "1e-6", "--json"]) == 0
+    assert _json_out(capsys) == {"kind": "povm", "valid": True, "violations": []}
+
+
+def _non_finite_files(tmp_path):
+    nan = float("nan")
+    table = table_to_obj(ProbabilityTable.from_model(
+        [basis_state(2, 0), basis_state(2, 1)], [computational_povm(2)]))
+    table["q"][0][0][0] = nan
+    return {
+        "model": _write(tmp_path, "decision.json", {
+            "prior": [0.5, 0.5], "utility": [[1.0, 0.0], [0.0, 1.0]],
+            "channels": {"bad": [[nan, 0.0], [0.0, 1.0]]}}),
+        "p": _write(tmp_path, "p.json", {"dim": 2, "probs": [nan, 0.5, 0.25, 0.25]}),
+        "r": _r_file(tmp_path),
+        "table": _write(tmp_path, "table.json", table),
+    }
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["umax", "--model", "{model}", "--channel", "bad"],
+     "decision.channels.bad: conditional probabilities must be finite"),
+    (["validate", "{table}", "--kind", "table"], "table.q[0][0]: probabilities must be finite"),
+    (["discover", "--table", "{table}", "--dim", "2"],
+     "table.q[0][0]: probabilities must be finite"),
+    (["urgleichung", "--p-file", "{p}", "--r-file", "{r}"],
+     "reference probabilities must be finite"),
+], ids=["umax", "validate-table", "discover", "urgleichung"])
+def test_non_finite_probabilities_exit_2(tmp_path, capsys, argv, error):
+    files = _non_finite_files(tmp_path)
+    assert main([a.format(**files) for a in argv] + ["--json"]) == 2
+    assert _json_out(capsys) == {"error": error}
 
 
 def test_validate_state_kind(tmp_path, capsys):
@@ -569,3 +610,27 @@ def test_out_is_reported_in_human_output(tmp_path, capsys):
     assert main(["tuned", "--claims", claims, "--out", out]) == 0
     assert capsys.readouterr().out.endswith(f"written to {out}\n")
     assert json.loads((tmp_path / "out.json").read_text())["tuned"] is True
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(tmp_path, capsys):
+    # The call's bytes from a fresh parser, after usage errors on the cached
+    # one, and again. The rejected calls carry --tol 1e-6, which would pass
+    # this POVM if it lingered.
+    tiny = Povm.from_matrices(2, [np.diag([1 + 1e-7, 0.5]), np.diag([-1e-7, 0.5])])
+    target = _write(tmp_path, "tiny.json", povm_to_obj(tiny))
+    build_parser.cache_clear()
+    assert main(["validate", target]) == 2
+    alone = capsys.readouterr()
+    assert "positivity" in alone.out
+    for bad in (["validate", target, "--tol", "1e-6", "--kind", "state"],
+                ["validate", target, "--tol", "1e-6", "--kind", "nonesuch"]):
+        with pytest.raises(SystemExit) as err:
+            main(bad)
+        assert err.value.code == 1
+        assert capsys.readouterr().out == ""
+        assert main(["validate", target]) == 2
+        assert capsys.readouterr() == alone

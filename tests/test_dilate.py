@@ -233,9 +233,10 @@ def test_probabilistic_check_vacuous_without_states():
 
 def test_probabilistic_check_rejects_a_target_that_is_not_psd():
     # (I +- 1.2 sigma_x) / 2 has eigenvalues -0.1 and 1.1, yet every overlap
-    # with the qubit reference measurement is non-negative: only the affine
-    # update's negative q catches it. q is negative only for states with
-    # |Bloch x| > 1/1.2, about 2% of the random draws, so the seed is one
+    # with the qubit reference measurement is non-negative, so r looks fine.
+    # The target's eigenvalue check would reject it too, but the draw-based
+    # rejection fires first: q is negative only for states with
+    # |Bloch x| > 1/1.2, about 2% of the random draws, and the seed is one
     # whose 50 states include such a state.
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     z = Povm.from_matrices(2, [(np.eye(2) + 1.2 * sx) / 2, (np.eye(2) - 1.2 * sx) / 2])

@@ -25,6 +25,8 @@ from mftk import (
     hermitize,
     induced_povm,
     is_generalized_dilation,
+    is_rank_one_povm,
+    is_trivial_class,
     naimark_construct,
     partial_trace,
     post_process,
@@ -36,8 +38,10 @@ from mftk import (
     random_state,
     state_to_sic_probs,
     tensor,
+    trivial_povm,
     u_max,
     urgleichung,
+    validate_povm,
     xbasis_povm,
 )
 from mftk.agent import _final_set
@@ -119,6 +123,54 @@ def test_dilation_rejects_pointer_of_the_wrong_dimension():
     wrong = random_povm(2, 4, seed=14)
     with pytest.raises(DimensionMismatchError, match=r"^pointer POVM dim 2 != dim_s 3$"):
         is_generalized_dilation(wrong, induced_povm(spec), spec)
+
+
+# ------------------------------------------------------------ POVM checks
+
+def _validate_reference(p, atol):
+    """validate_povm's per-effect loop, as report lines."""
+    lines = []
+    for e in p.effects:
+        herm = float(np.max(np.abs(e.matrix - dagger(e.matrix))))
+        if herm > atol:
+            lines.append(f"hermiticity: effect {e.label!r} is not Hermitian (magnitude {herm:.3e})")
+            continue
+        low = float(np.linalg.eigvalsh(hermitize(e.matrix))[0])
+        if low < -atol:
+            lines.append(f"positivity: effect {e.label!r} has eigenvalue {low:.3e} "
+                         f"(magnitude {-low:.3e})")
+    gap = np.abs(sum(e.matrix for e in p.effects) - np.eye(p.dim))
+    if float(np.max(gap)) > atol:
+        row, col = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        lines.append(f"completeness: effect sum deviates from identity at entry ({row}, {col}) "
+                     f"(magnitude {float(np.max(gap)):.3e})")
+    return lines or ["valid"]
+
+
+def _trivial_reference(p, tol):
+    return all(np.max(np.abs(e.matrix - np.trace(e.matrix).real / p.dim * np.eye(p.dim))) <= tol
+               for e in p.effects)
+
+
+def _rank_one_reference(p, tol):
+    return all(np.sum(np.linalg.eigvalsh(hermitize(e.matrix)) > tol) <= 1 for e in p.effects)
+
+
+def test_povm_checks_match_per_effect_loops():
+    rng = np.random.default_rng(17)
+    povms = [computational_povm(3), xbasis_povm(), trivial_povm(4), build_sic(3).povm,
+             post_process(random_povm(3, 4, seed=18), StochasticMatrix.merge_all(4))]
+    for d in (1, 2, 3, 5, 9):
+        for n in (1, 2, 4):
+            m = random_povm(d, n, seed=[19, d, n]).matrices()
+            g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            povms += [Povm.from_matrices(d, m + scale * g) for scale in (1e-9, 1e-3, 0.3)]
+            povms.append(Povm.from_matrices(d, m + 0.3 * hermitize(g)))
+    for p in povms:
+        for tol in (CHECK_ATOL, 1e-6, 0.1):
+            assert validate_povm(p, tol).lines() == _validate_reference(p, tol)
+            assert is_trivial_class(p, tol) == _trivial_reference(p, tol)
+            assert is_rank_one_povm(p, tol) == _rank_one_reference(p, tol)
 
 
 # ---------------------------------------------------------- decision value

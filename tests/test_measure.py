@@ -92,6 +92,33 @@ def test_validate_povm_flags_each_defect():
     assert any(v.invariant == "positivity" for v in validate_povm(not_psd).violations)
 
 
+def test_validate_povm_reports_effects_in_order_then_completeness():
+    # 'a' is neither Hermitian nor PSD: only its Hermiticity is reported.
+    mixed = Povm.from_matrices(2, [np.array([[0.5, 0.3], [0.0, -0.5]]), np.diag([-0.2, 0.3]),
+                                   np.diag([0.5, 0.1])], labels=["a", "b", "c"])
+    assert validate_povm(mixed).lines() == [
+        "hermiticity: effect 'a' is not Hermitian (magnitude 3.000e-01)",
+        "positivity: effect 'b' has eigenvalue -2.000e-01 (magnitude 2.000e-01)",
+        "completeness: effect sum deviates from identity at entry (1, 1) (magnitude 1.100e+00)",
+    ]
+
+
+def test_validate_povm_atol_applies_to_positivity():
+    tiny = Povm.from_matrices(2, [np.diag([1 + 1e-7, 0.5]), np.diag([-1e-7, 0.5])])
+    expected = ["positivity: effect '1' has eigenvalue -1.000e-07 (magnitude 1.000e-07)"]
+    assert validate_povm(tiny).lines() == expected
+    assert validate_povm(tiny, atol=1e-8).lines() == expected
+    assert validate_povm(tiny, atol=1e-6).ok
+
+
+def test_povm_stack_is_built_once_and_read_only():
+    p = computational_povm(3)
+    stack = p.matrices()
+    assert p.matrices() is stack
+    assert not stack.flags.writeable
+    assert np.array_equal(stack, np.stack([e.matrix for e in p.effects]))
+
+
 # ---------------------------------------------------------- distributions
 
 def test_outcome_distribution_clamps_round_off():
@@ -114,6 +141,14 @@ def test_outcome_distribution_rejections():
         OutcomeDistribution(labels=("a", "b"), probs=np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         OutcomeDistribution(labels=("a",), probs=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probability_types_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="^probabilities must be finite$"):
+        OutcomeDistribution(labels=("a", "b", "c"), probs=[bad, 0.5, 0.5])
+    with pytest.raises(ValueError, match="^conditional probabilities must be finite$"):
+        StochasticMatrix(2, 2, [[bad, 0.0], [0.0, 1.0]])
 
 
 # --------------------------------------------------------------- channels

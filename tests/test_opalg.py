@@ -77,6 +77,22 @@ def test_partial_trace_shape_errors():
         opalg.partial_trace(np.eye(6), 2, 3, keep="both")
 
 
+def test_tensor_and_partial_trace_act_matrix_by_matrix_on_stacks():
+    rng = np.random.default_rng(6)
+    a = np.stack([random_hermitian(2, rng) for _ in range(4)])
+    b = random_hermitian(3, rng)
+    joint = opalg.tensor(a, b)  # the single b broadcasts against the stack
+    assert joint.shape == (4, 6, 6)
+    for k in range(4):
+        assert np.array_equal(joint[k], opalg.tensor(a[k], b))
+        np.testing.assert_allclose(joint[k], np.kron(a[k], b), rtol=1e-15)
+        for keep in ("first", "second"):
+            assert np.array_equal(opalg.partial_trace(joint, 2, 3, keep=keep)[k],
+                                  opalg.partial_trace(joint[k], 2, 3, keep=keep))
+    with pytest.raises(DimensionMismatchError):
+        opalg.partial_trace(joint, 3, 3)
+
+
 def test_eigensystem_matches_numpy():
     rng = np.random.default_rng(6)
     h = random_hermitian(4, rng)
@@ -127,6 +143,16 @@ def test_hermitian_basis_orthonormal():
             for j, b in enumerate(basis.elements):
                 expected = 1.0 if i == j else 0.0
                 assert np.trace(a @ b).real == pytest.approx(expected, abs=1e-12)
+
+
+def test_hermitian_basis_is_built_once_per_dimension():
+    basis = opalg.hermitian_basis(3)
+    assert opalg.hermitian_basis(3) is basis
+    assert opalg.hermitian_basis(2) is not basis
+    assert not basis._transform.flags.writeable
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            opalg.hermitian_basis(dim)
 
 
 def test_hermitian_basis_round_trip():

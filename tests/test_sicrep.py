@@ -126,6 +126,12 @@ def test_sic_prob_vector_errors_print_plain_numbers():
         SicProbVector(dim=2, probs=np.array([0.6, 0.4, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sic_prob_vector_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="^reference probabilities must be finite$"):
+        SicProbVector(dim=2, probs=np.array([bad, 0.5, 0.25, 0.25]))
+
+
 def test_probs_state_round_trip():
     sic = build_sic(2)
     for i in range(10):
