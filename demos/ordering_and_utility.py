@@ -1,9 +1,10 @@
 """When is one measurement at least as useful as another?
 
 One measurement dominates another when classical post-processing of
-its outcomes can reproduce the other's effects; the linear-program
-check either produces the post-processing table as a witness or
-certifies that none exists. The order has a decision-theoretic face:
+its outcomes can reproduce the other's effects; the check either
+produces the post-processing table as a witness or a guessing game
+that the other wins and every post-processing loses, which proves that
+none exists. The order has a decision-theoretic face:
 a dominating measurement is worth at least as much in every betting
 problem, whatever the utility function. The script walks through a
 dominated pair, an incomparable pair, and the utility cross-check.
@@ -44,8 +45,8 @@ def main():
     verdict = compare(z, x)
     print("standard basis vs diagonal basis:")
     print(f"  relation: {verdict.relation}")
-    print(f"  best residual trying z -> x: {verdict.residual_forward:.3e}")
-    print(f"  best residual trying x -> z: {verdict.residual_backward:.3e}")
+    print(f"  every post-processing z -> x misses by at least {verdict.residual_forward:.3e}")
+    print(f"  every post-processing x -> z misses by at least {verdict.residual_backward:.3e}")
     print("  neither side can simulate the other by reshuffling outcomes.\n")
 
     # Decision problem: nature prepares |0><0| or |1><1| with equal odds,
@@ -60,7 +61,7 @@ def main():
     print("  the diagonal basis is incomparable to the standard one and here")
     print("  earns only the blind rate, yet no post-processing of Z yields X.\n")
 
-    # Cross-check over many random utilities: wherever the LP certifies
+    # Cross-check over many random utilities: wherever the order certifies
     # dominance, no sampled decision problem may prefer the dominated side.
     report = blackwell_consistency(z, noisy, states, n_utilities=200, seed=3)
     print(f"z vs noisy over {report.n_utilities} random utilities: "
@@ -69,7 +70,7 @@ def main():
     report = blackwell_consistency(x, z, states, n_utilities=200, seed=4)
     print(f"x vs z over {report.n_utilities} random utilities: "
           f"dominance holds={report.geq_holds}, reversals={report.reversals} "
-          f"(reversals are allowed because the LP relation fails)")
+          f"(reversals are allowed because the relation fails)")
 
 
 if __name__ == "__main__":

@@ -21,9 +21,10 @@ CHECK_ATOL     1e-9    POVM completeness and effect positivity, channel
                        the affine update, dilation and tuning residuals,
                        the agent's pointer match, the utility slack of
                        the Blackwell cross-check
-DECISION_ATOL  1e-8    the post-processing-order LP and everything
-                       decided through it, and the negativity floor of
-                       ``psd_sqrt`` and of reference-probability
+DECISION_ATOL  1e-8    the post-processing order (``povm_geq``'s
+                       witness gap, game bound and LP fallback) and
+                       everything decided through it, and the negativity
+                       floor of ``psd_sqrt`` and of reference-probability
                        inversion
 PROB_CLAMP     1e-12   negative probabilities clamped to zero as round-off
 FIT_TOL        1e-6    worst table entry a discovered model may miss by

@@ -3,9 +3,17 @@
 One measurement is at least as useful as another when the second's
 statistics can be manufactured from the first's by classical
 post-processing alone: X_x = sum_z lambda(x|z) Z_z for a column-
-stochastic lambda. Deciding that is a small linear program once the
-operator equalities are expanded in an orthonormal Hermitian basis,
-which makes all data real. The decision-theoretic face of the same
+stochastic lambda. Expanded in an orthonormal Hermitian basis, where
+all data are real, that is a question about a cone: is
+b = (coords(X_x), 1) a non-negative combination of the columns
+A[:, (x, z)] = (e_x (x) coords(Z_z), e_z)? ``povm_geq`` answers it by
+non-negative least squares and re-verifies every answer without a
+solver: a positive one by its stochastic witness, a negative one by a
+guessing game that x wins and every post-processing of z loses, which
+is Blackwell's theorem in Buscemi's quantum form (Blackwell, Ann. Math.
+Stat. 24, 265 (1953); Buscemi, Commun. Math. Phys. 310, 625 (2012)).
+A pair that neither settles, one within a few ``tol`` of the boundary,
+goes to a linear program. The decision-theoretic face of the same
 order: an agent choosing an action after seeing an outcome can never
 do better, for any utility and prior, with a post-processed
 measurement than with the original.
@@ -44,24 +52,153 @@ def bayes_update(prior_h: float, prior_e: float, likelihood_e_given_h: float) ->
 
 @dataclass(frozen=True)
 class GeqResult:
+    """Verdict of ``povm_geq``.
+
+    ``witness`` is the stochastic matrix behind a positive answer.
+    ``certificate`` is the game behind a negative answer settled without
+    the LP: read-only test operators W_x, shape (n_x, d, d); it is None
+    otherwise.
+    """
+
     holds: bool
     witness: StochasticMatrix | None
     residual: float
+    certificate: np.ndarray | None = None
 
 
 def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
     """Can x be obtained from z by classical post-processing?
 
-    Solves min t subject to |sum_z lambda(x|z) Z_z - X_x| <= t
-    coordinatewise in the Hermitian-basis expansion, with lambda
-    column-stochastic. The relation holds when the recovered witness
-    reproduces x entrywise within ``tol``; the witness is returned so
-    callers can re-verify it. The LP is always feasible and bounded, so
-    a solver that stops without success raises ``SolverError`` rather
-    than answering either way.
+    The decision is a non-negative least-squares problem: with the
+    Hermitian-basis coordinates c_z of Z_z and the x-major vector lambda,
+    minimize |A lambda - b| over lambda >= 0, where
+    b = (coords(X_x), 1) and A[:, (x, z)] = (e_x (x) c_z, e_z). It is
+    solved by Lawson and Hanson's active-set method on the Gram matrix
+    A^T A = I (x) C C^T + 1 1^T (x) I with C = (c_z), whose entries are
+    Tr(Z_z Z_z') (Lawson & Hanson 1974, ch. 23; Bro & de Jong 1997).
+    Whatever the solve returns, the answer rests only on a check made
+    afterwards in matrix space, from the effects as given:
+
+    - **holds** when lambda, clipped at zero and column-normalized, is a
+      witness whose entrywise gap max |sum_z lambda(x|z) Z_z - X_x| is
+      at most ``tol``. ``residual`` is that gap.
+    - **does not hold** when the residual r = b - A lambda proves it. Its
+      basis part gives Hermitian test operators W_x, a game scored
+      Tr(W_x E) for reporting x on effect E. For any column-stochastic
+      mu, let D_x = sum_z mu(x|z) Z_z - X_x. Since
+      sum_x mu(x|z) Tr(W_x Z_z) <= max_x Tr(W_x Z_z), the margin
+      m = sum_x Tr(W_x X_x) - sum_z max_x Tr(W_x Z_z) obeys
+      m <= -sum_x Re Tr(W_x D_x) <= sum_x |W_x|_1 |D_x|_op, and
+      |D|_op <= |D|_F <= d max_ij |D_ij|. So every post-processing of z
+      misses x somewhere by at least m / (d sum_x |W_x|_1), the trace
+      norm being the sum of |eigenvalues|. The answer is "does not hold"
+      when that bound exceeds ``tol``; ``residual`` is the bound and
+      ``certificate`` holds the W_x. At an exact optimum the margin is
+      at least |r|^2, because A^T r <= 0 there and b^T r = |r|^2.
+    - **otherwise** (a pair within a few ``tol`` of the boundary, a
+      ``tol`` so large that the least-squares witness misses it while
+      another would not, or a singular or non-converging solve) a linear
+      program decides, as before: min t subject to
+      |sum_z lambda(x|z) Z_z - X_x| <= t coordinatewise in the basis,
+      with lambda column-stochastic. The relation holds when its witness
+      reproduces x entrywise within ``tol``, and ``residual`` is that
+      witness's gap either way. The LP is always feasible and bounded,
+      so a solver that stops without success raises ``SolverError``
+      rather than answering either way.
+
+    On every path ``holds == (residual <= tol)``. ``tol`` must be
+    positive and finite; anything else raises ``ValueError`` before any
+    solve.
     """
     if z.dim != x.dim:
         raise DimensionMismatchError(f"dims differ: {z.dim} vs {x.dim}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    decided = _nnls_geq(z, x, tol)
+    return decided if decided is not None else _lp_geq(z, x, tol)
+
+
+def _nnls_geq(z: Povm, x: Povm, tol: float) -> GeqResult | None:
+    """``povm_geq``'s answer from non-negative least squares, or None when
+    neither the witness nor the game it yields settles the pair."""
+    basis = opalg.hermitian_basis(z.dim)
+    zm, xm = z.matrices(), x.matrices()
+    z_coords, x_coords = basis.coords(zm), basis.coords(xm)  # (nz, D), (nx, D)
+    nz, nx = len(z_coords), len(x_coords)
+    gram = np.kron(np.eye(nx), z_coords @ z_coords.T) + np.kron(np.ones((nx, nx)), np.eye(nz))
+    lam = _nnls_gram(gram, (x_coords @ z_coords.T + 1.0).reshape(-1))
+    if lam is None:
+        return None
+    lam = lam.reshape(nx, nz)
+    totals = lam.sum(axis=0)
+    if np.all(totals > 0):
+        witness = StochasticMatrix(n_in=nz, n_out=nx, entries=lam / totals)
+        gap = _witness_gap(witness, zm, xm)
+        if gap <= tol:
+            return GeqResult(holds=True, witness=witness, residual=gap)
+    games = basis.matrix(x_coords - lam @ z_coords)  # W_x, from the residual's basis part
+    margin = (np.einsum("xij,xji->", games, xm).real
+              - np.einsum("xij,zji->xz", games, zm).real.max(axis=0).sum())
+    scale = z.dim * np.abs(np.linalg.eigvalsh(games)).sum()
+    if margin > tol * scale:
+        games.setflags(write=False)
+        return GeqResult(holds=False, witness=None, residual=float(margin / scale),
+                         certificate=games)
+    return None
+
+
+def _nnls_gram(gram: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """Lawson-Hanson: argmin |A lambda - b| over lambda >= 0, from
+    ``gram`` = A^T A and ``h`` = A^T b. Entries outside the passive set
+    stay exactly zero. Returns None when a passive block is singular or
+    the active set has not settled after 3n additions."""
+    n = len(h)
+    lam = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    floor = 10 * n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(h))))
+    for _ in range(3 * n):
+        gradient = np.where(passive, -np.inf, h - gram @ lam)
+        new = int(np.argmax(gradient))
+        if gradient[new] <= floor:
+            return lam
+        passive[new] = True
+        while True:
+            idx = np.flatnonzero(passive)
+            try:
+                s = np.linalg.solve(gram[idx[:, None], idx], h[idx])
+            except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(s).all():
+                return None
+            if s.min() > 0:
+                lam[idx] = s
+                break
+            if passive[new] and lam[new] == 0.0 and s[np.searchsorted(idx, new)] <= 0:
+                # The entering variable's gradient was round-off: it cannot
+                # move, so the current lambda is already optimal.
+                passive[new] = False
+                return lam
+            # Step from lam towards s until the first passive entry hits zero.
+            # Every passive entry but the entering one is positive, and that
+            # one has s > 0 here, so no ratio is 0/0.
+            old = lam[idx]
+            blocked = s <= 0
+            ratios = old[blocked] / (old[blocked] - s[blocked])
+            step = ratios.min()
+            lam[idx] = np.clip(old + step * (s - old), 0.0, None)
+            lam[idx[blocked][ratios == step]] = 0.0
+            passive &= lam > 0
+    return None
+
+
+def _witness_gap(witness: StochasticMatrix, zm: np.ndarray, xm: np.ndarray) -> float:
+    """Entrywise max |sum_z witness(x|z) Z_z - X_x|."""
+    rebuilt = np.einsum("xz,zij->xij", witness.entries, zm)
+    return float(np.max(np.abs(rebuilt - xm)))
+
+
+def _lp_geq(z: Povm, x: Povm, tol: float) -> GeqResult:
+    """``povm_geq`` by the min-max LP; see there."""
     basis = opalg.hermitian_basis(z.dim)
     z_coords = basis.coords(z.matrices())  # (nz, D)
     x_coords = basis.coords(x.matrices())  # (nx, D)
@@ -89,8 +226,7 @@ def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
     lam = np.clip(result.x[: nx * nz].reshape(nx, nz), 0.0, None)
     lam = lam / lam.sum(axis=0, keepdims=True)
     witness = StochasticMatrix(n_in=nz, n_out=nx, entries=lam)
-    rebuilt = np.einsum("xz,zij->xij", witness.entries, z.matrices())
-    residual = float(np.max(np.abs(rebuilt - x.matrices())))
+    residual = _witness_gap(witness, z.matrices(), x.matrices())
     if residual > tol:
         return GeqResult(holds=False, witness=None, residual=residual)
     return GeqResult(holds=True, witness=witness, residual=residual)
@@ -265,12 +401,12 @@ def blackwell_consistency(
     seed: int = 0,
     tol: float = DECISION_ATOL,
 ) -> ConsistencyReport:
-    """Cross-check the LP order against sampled decision problems.
+    """Cross-check the post-processing order against sampled decision problems.
 
-    Worlds are the given states under a uniform prior. When the LP says
-    z >= x, no sampled utility may give the x-measurement a strictly
+    Worlds are the given states under a uniform prior. When ``povm_geq``
+    says z >= x, no sampled utility may give the x-measurement a strictly
     higher optimum (beyond slack); utilities where x does better are
-    counted as reversals and are only consistent when the LP relation
+    counted as reversals and are only consistent when the relation
     fails. Sampling cannot certify the converse direction, so absence
     of reversals never upgrades the verdict.
     """

@@ -251,14 +251,15 @@ def test_compare_incomparable(tmp_path, capsys):
     assert out["witness_forward"] is None
 
 
-def test_compare_reports_solver_failure(tmp_path, capsys, monkeypatch):
+def test_compare_reports_solver_failure(tmp_path, capsys, monkeypatch, tilted_basis):
     def failing_linprog(*args, **kwargs):
         return scipy.optimize.OptimizeResult(success=False, status=4,
                                              message="Numerical difficulties encountered.")
 
     monkeypatch.setattr(mftk.order, "linprog", failing_linprog)
+    # A pair at the boundary, which only the LP decides.
     left = _write(tmp_path, "z.json", povm_to_obj(computational_povm(2)))
-    right = _write(tmp_path, "x.json", povm_to_obj(xbasis_povm()))
+    right = _write(tmp_path, "x.json", povm_to_obj(tilted_basis(2)))
     assert main(["compare", "--left", left, "--right", right, "--json"]) == 2
     error = _json_out(capsys)["error"]
     assert "linprog failed (status 4)" in error

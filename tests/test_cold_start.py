@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from mftk import compare, computational_povm, povm_to_obj, save_json, xbasis_povm
+from mftk.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LOADED = "print('scipy.optimize' in sys.modules)"
@@ -46,22 +47,41 @@ def test_validate_leaves_scipy_optimize_unloaded(tmp_path):
     assert lines[-1] == "False"
 
 
-def test_compare_loads_scipy_optimize_with_an_unchanged_verdict():
-    # Positive control: the order LP does import the solver, and the
-    # verdict from a cold process matches this (warm) one.
+def test_compare_loads_scipy_optimize_with_an_unchanged_verdict(tmp_path, tilted_basis):
+    # Positive control: a pair at the boundary reaches the order LP, which
+    # does import the solver, and the verdict from a cold process matches
+    # this (warm) one.
+    tilted = str(tmp_path / "x.json")
+    save_json(tilted, povm_to_obj(tilted_basis(2)))
     lines = _fresh(
-        "import json, sys\nfrom mftk import compare, computational_povm, xbasis_povm\n"
+        "import json, sys\nfrom mftk import compare, computational_povm, load_json, povm_from_obj\n"
         f"{LOADED}\n"
-        "for v in (compare(computational_povm(2), xbasis_povm()),\n"
+        f"for v in (compare(computational_povm(2), povm_from_obj(load_json({tilted!r}))),\n"
         "          compare(computational_povm(2), computational_povm(2))):\n"
         "    print(json.dumps([v.relation, v.residual_forward, v.residual_backward,\n"
         "                      v.witness_forward and v.witness_forward.entries.tolist()]))\n"
         f"{LOADED}")
     assert lines[0] == "False" and lines[-1] == "True"
-    incomparable = compare(computational_povm(2), xbasis_povm())
+    incomparable = compare(computational_povm(2), tilted_basis(2))
     equivalent = compare(computational_povm(2), computational_povm(2))
     assert json.loads(lines[1]) == [
         "incomparable", incomparable.residual_forward, incomparable.residual_backward, None]
     assert json.loads(lines[2]) == [
         "equivalent", equivalent.residual_forward, equivalent.residual_backward,
         equivalent.witness_forward.entries.tolist()]
+
+
+def test_mf_compare_loads_scipy_optimize_only_at_the_boundary(tmp_path, capsys, tilted_basis):
+    # Computational against X basis is settled without the LP; the pair at
+    # the boundary needs it. Either way the cold verdict is the warm one.
+    left = str(tmp_path / "z.json")
+    save_json(left, povm_to_obj(computational_povm(2)))
+    for right_povm, loaded in ((xbasis_povm(), "False"), (tilted_basis(2), "True")):
+        right = str(tmp_path / "x.json")
+        save_json(right, povm_to_obj(right_povm))
+        argv = ["compare", "--left", left, "--right", right, "--json"]
+        lines = _fresh(f"import sys\nfrom mftk.cli import main\n"
+                       f"assert main({argv!r}) == 0\n{LOADED}")
+        assert main(argv) == 0
+        assert lines[:-1] == capsys.readouterr().out.splitlines()
+        assert lines[-1] == loaded

@@ -384,7 +384,7 @@ def _lp_reference(z, x):
     return np.array(rows_ub), np.array(rhs_ub), np.array(rows_eq)
 
 
-def test_povm_geq_lp_matches_row_by_row_build(monkeypatch):
+def test_povm_geq_lp_matches_row_by_row_build(monkeypatch, tilted_basis):
     seen = []
 
     def recording_linprog(**kwargs):
@@ -392,6 +392,8 @@ def test_povm_geq_lp_matches_row_by_row_build(monkeypatch):
         return scipy.optimize.linprog(**kwargs)
 
     monkeypatch.setattr(mftk.order, "linprog", recording_linprog)
+    # The LP path itself, on every shape, and povm_geq on pairs at the
+    # boundary, the ones it hands to the LP.
     pairs = [
         (computational_povm(2), xbasis_povm()),
         (build_sic(2).povm, computational_povm(2)),
@@ -399,8 +401,14 @@ def test_povm_geq_lp_matches_row_by_row_build(monkeypatch):
         (random_povm(4, 3, seed=33), random_povm(4, 5, seed=34)),
         (random_povm(1, 2, seed=35), random_povm(1, 1, seed=36)),
     ]
-    for z, x in pairs:
-        povm_geq(z, x)
+    cases = [(mftk.order._lp_geq, z, x) for z, x in pairs]
+    split = computational_povm(3).matrices() * [[[1.0]], [[1.0]], [[0.5]]]
+    for z in (computational_povm(2), computational_povm(4),
+              Povm.from_matrices(3, np.concatenate([split, split[2:]]))):
+        cases.append((povm_geq, z, tilted_basis(z.dim)))
+    for solve, z, x in cases:
+        solve(z, x, DECISION_ATOL)
+        assert len(seen) == 1
         a_ub, b_ub, a_eq = _lp_reference(z, x)
         got = seen.pop()
         assert np.array_equal(got["A_ub"], a_ub)

@@ -123,6 +123,81 @@ def test_geq_is_reflexive_and_transitive():
             np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-8)
 
 
+def _game_margin_and_bound(games, z, x, tol):
+    """The game's margin, sum_x Tr(W_x X_x) - sum_z max_x Tr(W_x Z_z), and
+    tol * d * sum_x |W_x|_1, which no game's margin exceeds while some
+    post-processing of z comes within ``tol`` of x: recomputed with plain
+    traces and singular values."""
+    won = sum(np.trace(w @ e).real for w, e in zip(games, x.matrices()))
+    best_on_z = sum(max(np.trace(w @ e).real for w in games) for e in z.matrices())
+    trace_norms = sum(np.linalg.svd(w, compute_uv=False).sum() for w in games)
+    return won - best_on_z, tol * z.dim * trace_norms
+
+
+def test_nnls_verdicts_match_the_lp_and_carry_their_proof(monkeypatch):
+    lp_runs = []
+
+    def counting_linprog(**kwargs):
+        lp_runs.append(kwargs)
+        return scipy.optimize.linprog(**kwargs)
+
+    monkeypatch.setattr(mftk.order, "linprog", counting_linprog)
+    rng = np.random.default_rng(70)
+    pairs = []
+    for d in range(1, 6):
+        z, x = random_povm(d, 4, seed=[71, d]), random_povm(d, 3, seed=[72, d])
+        copy = post_process(z, _random_stochastic(4, 2, rng))
+        halves = z.matrices()[:1] / 2  # z with its first effect split in two equal ones
+        duplicated = Povm.from_matrices(d, np.concatenate([halves, halves, z.matrices()[1:]]))
+        pairs += [(z, x), (x, z), (z, copy), (copy, z), (trivial_povm(d), x), (x, trivial_povm(d)),
+                  (duplicated, x), (duplicated, z), (z, duplicated)]
+        if d > 1:
+            pairs += [(build_sic(d).povm, z), (z, build_sic(d).povm)]
+    settled_without_lp = 0
+    for z, x in pairs:
+        result = povm_geq(z, x)
+        settled_without_lp += not lp_runs
+        reference = mftk.order._lp_geq(z, x, 1e-8)
+        lp_runs.clear()
+        assert result.holds == reference.holds
+        assert result.holds == (result.residual <= 1e-8)
+        if result.holds:
+            lam = result.witness.entries
+            gap = np.max(np.abs(np.einsum("xz,zij->xij", lam, z.matrices()) - x.matrices()))
+            assert lam.min() >= 0 and np.allclose(lam.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+            assert gap <= 1e-8 and result.certificate is None
+        else:
+            assert not result.certificate.flags.writeable
+            margin, bound = _game_margin_and_bound(result.certificate, z, x, 1e-8)
+            assert margin > bound
+            # The game bounds every witness's gap from below, the LP's too.
+            assert result.residual <= reference.residual + 1e-12
+    assert settled_without_lp == len(pairs)
+
+
+def test_nnls_stops_when_the_entering_variable_cannot_move():
+    # With a true Gram matrix only round-off lets a variable with a positive
+    # gradient solve to <= 0; this indefinite one forces it exactly. The
+    # solve must end there, neither cycling nor stepping by 0/0.
+    lam = mftk.order._nnls_gram(np.array([[1.0, -2.0], [-2.0, 1.0]]), np.array([1.0, 3.0]))
+    assert lam.tolist() == [0.0, 3.0]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused(monkeypatch, tol):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the tolerance check")
+
+    monkeypatch.setattr(mftk.order, "linprog", no_solve)
+    monkeypatch.setattr(mftk.order, "_nnls_gram", no_solve)
+    z, x = computational_povm(2), xbasis_povm()
+    family = [pure_state(v) for v in build_sic(2).fiducial_states]
+    for call in (lambda: povm_geq(z, x, tol), lambda: compare(z, x, tol),
+                 lambda: blackwell_consistency(z, x, family, tol=tol)):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            call()
+
+
 def test_trivial_class_predicate():
     assert is_trivial_class(trivial_povm(2))
     assert is_trivial_class(Povm.from_matrices(2, [np.eye(2) / 2, np.eye(2) / 2]))
@@ -307,9 +382,9 @@ def _failing_linprog(*args, **kwargs):
         success=False, status=4, message="Numerical difficulties encountered.", x=None)
 
 
-def test_solver_failure_is_raised_not_read_as_a_verdict(monkeypatch):
+def test_solver_failure_is_raised_not_read_as_a_verdict(monkeypatch, tilted_basis):
     monkeypatch.setattr(mftk.order, "linprog", _failing_linprog)
     with pytest.raises(SolverError) as caught:
-        compare(computational_povm(2), xbasis_povm())
+        compare(computational_povm(2), tilted_basis(2))
     assert caught.value.status == 4
     assert "Numerical difficulties" in str(caught.value)
