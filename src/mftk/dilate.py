@@ -113,6 +113,7 @@ def is_generalized_dilation(
     equality of the induced measurement with z, which is equivalent to
     agreement of the two Born distributions on every input state.
     """
+    opalg.check_tol(tol)
     if y.n_outcomes != z.n_outcomes:
         raise OutcomeCountMismatchError(
             f"pointer has {y.n_outcomes} outcomes, target has {z.n_outcomes}"
@@ -131,9 +132,8 @@ def naimark_construct(z: Povm) -> DilationSpec:
 
     The probe dimension equals the outcome count n. The coupling
     extends the isometry |0>_S (x) |psi>_T -> sum_z |z>_S (x)
-    sqrt(Z_z)|psi>_T to a unitary on the joint space by Gram-Schmidt
-    over standard basis vectors in index order, so the output is
-    reproducible.
+    sqrt(Z_z)|psi>_T to a unitary by a complete QR factorization. The
+    probe starts in |0>, so no check reads the completion's columns.
     """
     n = z.n_outcomes
     d_t = z.dim
@@ -144,20 +144,7 @@ def naimark_construct(z: Povm) -> DilationSpec:
     # zeros (rather than assigning) stores -0.0 entries as +0.0.
     columns = np.zeros((joint, joint), dtype=complex)
     columns[:, :d_t] += roots.reshape(joint, d_t)
-    filled = d_t
-    for pivot in range(joint):
-        if filled == joint:
-            break
-        cand = np.zeros(joint, dtype=complex)
-        cand[pivot] = 1.0
-        for j in range(filled):
-            cand -= np.vdot(columns[:, j], cand) * columns[:, j]
-        norm = np.linalg.norm(cand)
-        if norm > 1e-7:
-            columns[:, filled] = cand / norm
-            filled += 1
-    if filled != joint:
-        raise RuntimeError("unitary completion failed")  # pragma: no cover
+    columns[:, d_t:] += np.linalg.qr(columns[:, :d_t], mode="complete")[0][:, d_t:]
     return DilationSpec(
         sigma=basis_state(n, 0),
         phi=QuantumChannel.unitary(columns),
@@ -201,6 +188,7 @@ def verify_tuned(pairs, specs, tol: float = CHECK_ATOL) -> TuningCertificate:
     by its paired pointer reading; an empty list is vacuously tuned and
     flagged as such.
     """
+    opalg.check_tol(tol)
     pairs = list(pairs)
     specs = list(specs)
     if len(pairs) != len(specs):
@@ -239,6 +227,7 @@ def check_tuning_probabilistic(
     target effect with an eigenvalue below -tol raises
     ``InconsistentPairError``, whatever the states drawn.
     """
+    opalg.check_tol(tol)
     if n_states < 0:
         raise ValueError(f"n_states must be >= 0, got {n_states}")
     sic_t, sic_s = build_sic(spec.dim_t), build_sic(spec.dim_s)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .agent import AgentState, ExternalSystem
-from .dilate import DilationSpec, PairResult, TuningCertificate
+from .dilate import DilationSpec, TuningCertificate, verify_tuned
 from .errors import SchemaError
 from .measure import (
     DensityMatrix,
@@ -315,26 +315,19 @@ def dilation_from_obj(obj, path: str = "dilation") -> DilationSpec:
     )
 
 
-def _claims(obj, path: str):
-    """Yields (path, entry, (y, z, spec)) for each entry of the "pairs"
-    array that claims files and certificates share."""
-    pairs_obj = _field(obj, "pairs", path)
-    if not isinstance(pairs_obj, list):
-        raise SchemaError(f"{path}.pairs", "expected an array of {y, z, spec} objects")
-    for i, entry in enumerate(pairs_obj):
-        here = f"{path}.pairs[{i}]"
-        yield here, entry, (
-            povm_from_obj(_field(entry, "y", here), f"{here}.y"),
-            povm_from_obj(_field(entry, "z", here), f"{here}.z"),
-            dilation_from_obj(_field(entry, "spec", here), f"{here}.spec"),
-        )
-
-
 def claims_from_obj(obj, path: str = "claims"):
     """Returns (pairs, specs), the arguments of ``verify_tuned``, from a
     claims file {"pairs": [{"y": <povm>, "z": <povm>, "spec": <dilation>}, ...]}."""
-    claims = [claim for _, _, claim in _claims(obj, path)]
-    return [(y, z) for y, z, _ in claims], [spec for _, _, spec in claims]
+    pairs_obj = _field(obj, "pairs", path)
+    if not isinstance(pairs_obj, list):
+        raise SchemaError(f"{path}.pairs", "expected an array of {y, z, spec} objects")
+    pairs, specs = [], []
+    for i, entry in enumerate(pairs_obj):
+        here = f"{path}.pairs[{i}]"
+        pairs.append((povm_from_obj(_field(entry, "y", here), f"{here}.y"),
+                      povm_from_obj(_field(entry, "z", here), f"{here}.z")))
+        specs.append(dilation_from_obj(_field(entry, "spec", here), f"{here}.spec"))
+    return pairs, specs
 
 
 def certificate_to_obj(cert: TuningCertificate) -> dict:
@@ -355,15 +348,11 @@ def certificate_to_obj(cert: TuningCertificate) -> dict:
 
 
 def certificate_from_obj(obj, path: str = "certificate") -> TuningCertificate:
+    """The claims of a certificate file verified again at its "tol"; the
+    residuals, "tuned" and "vacuous" it states are not read."""
     tol = _number(_field(obj, "tol", path), f"{path}.tol")
-    pairs = tuple(
-        PairResult(
-            y=y, z=z, spec=spec,
-            residual=_number(_field(entry, "residual", here), f"{here}.residual"),
-        )
-        for here, entry, (y, z, spec) in _claims(obj, path)
-    )
-    return TuningCertificate(pairs=pairs, tol=tol)
+    pairs, specs = claims_from_obj(obj, path)
+    return _construct(lambda: verify_tuned(pairs, specs, tol), path)
 
 
 # ------------------------------------------------------------------ order

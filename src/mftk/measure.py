@@ -294,6 +294,7 @@ def validate_povm(p: Povm, atol: float = CHECK_ATOL) -> ValidationReport:
     Returns a report listing each violated invariant with its magnitude;
     the report is empty exactly when the POVM is valid.
     """
+    opalg.check_tol(atol, "atol")
     stack = p.matrices()
     herm = np.max(np.abs(stack - opalg.dagger(stack)), axis=(1, 2))
     low = np.linalg.eigvalsh(opalg.hermitize(stack))[:, 0]

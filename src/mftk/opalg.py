@@ -9,6 +9,8 @@ everything is dense and direct.
 Default tolerances. Every verdict in the package is a residual compared
 with one of these; each public ``tol``/``atol`` keyword defaults to one
 of them, so a caller overrides a check without touching the others.
+An override must be positive and finite (``check_tol``); a NaN or
+infinite tolerance would pass every residual.
 
 ============== ======= ===================================================
 name           value   used for
@@ -45,6 +47,12 @@ CHECK_ATOL = 1e-9
 DECISION_ATOL = 1e-8
 PROB_CLAMP = 1e-12
 FIT_TOL = 1e-6
+
+
+def check_tol(value: float, name: str = "tol") -> None:
+    """Raise ``ValueError`` unless tolerance ``value`` (keyword ``name``) is positive and finite."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def freeze(m: np.ndarray) -> np.ndarray:

@@ -112,8 +112,7 @@ def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
     """
     if z.dim != x.dim:
         raise DimensionMismatchError(f"dims differ: {z.dim} vs {x.dim}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    opalg.check_tol(tol)
     decided = _nnls_geq(z, x, tol)
     return decided if decided is not None else _lp_geq(z, x, tol)
 

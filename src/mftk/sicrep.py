@@ -87,10 +87,11 @@ def _tetrahedron_vectors() -> list[np.ndarray]:
     return out
 
 
-# Unit fiducial vectors whose shift/clock orbits are equiangular, found
-# by least-squares minimization of the overlap deviations and frozen at
-# double precision; the SicPovm constructor re-verifies equiangularity.
+# Unit fiducial vectors whose shift/clock orbits are equiangular; those past
+# d = 1 were found by least-squares minimization of the overlap deviations and
+# frozen at double precision. The SicPovm constructor re-verifies them.
 _FIDUCIALS = {
+    1: np.ones(1, dtype=complex),
     3: np.array([0, 1, -1], dtype=complex) / np.sqrt(2),
     4: np.array([
         complex(-0.48079909639623813, 0.06890996895949696),
@@ -119,7 +120,7 @@ def _weyl_heisenberg_orbit(d: int) -> list[np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def build_sic(d: int) -> SicPovm:
-    """Built-in reference measurement for d in {2, 3, 4, 5}.
+    """Built-in reference measurement for d in {1, 2, 3, 4, 5}.
 
     d=2 is the Bloch tetrahedron; the others are shift/clock orbits of
     stored fiducial vectors. Instances are immutable, so repeated calls
@@ -630,14 +631,16 @@ def discover_system(
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if min(max_iters, restarts) < 1:
+        raise ValueError(f"max_iters and restarts must be >= 1, got {max_iters}, {restarts}")
+    opalg.check_tol(tol)
     if table.n_measurements == 0:
         raise ValueError("probability table has no measurements")
     if table.n_preparations == 0:
         raise ValueError("probability table has no preparations")
     basis = opalg.hermitian_basis(d)
-    n_restarts = max(1, restarts)
     best = None  # (residual, states, povms)
-    for batch in (range(1), range(1, n_restarts)):
+    for batch in (range(1), range(1, restarts)):
         for restart, found in _restart_batch(table, basis, batch, max_iters, tol, seed):
             if found is None:
                 continue
@@ -647,5 +650,5 @@ def discover_system(
                 best = found
 
     if best is None:
-        return DiscoveryResult(False, (), (), np.inf, n_restarts)
-    return DiscoveryResult(False, best[1], best[2], best[0], n_restarts)
+        return DiscoveryResult(False, (), (), np.inf, restarts)
+    return DiscoveryResult(False, best[1], best[2], best[0], restarts)

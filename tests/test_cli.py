@@ -29,7 +29,9 @@ from mftk import (
     state_to_sic_probs,
     stochastic_to_obj,
     table_to_obj,
+    trivial_povm,
     urgleichung,
+    verify_tuned,
     xbasis_povm,
 )
 from mftk.cli import build_parser, main
@@ -313,6 +315,18 @@ def test_dilate_probcheck(tmp_path, capsys):
     assert out["holds"] and out["agrees"]
 
 
+def test_dilate_probcheck_on_a_trivial_target_and_sic_in_dimension_one(tmp_path, capsys):
+    # The single-outcome target's probe is one-dimensional.
+    z = trivial_povm(2)
+    spec_file = _write(tmp_path, "spec.json", dilation_to_obj(naimark_construct(z)))
+    target = _write(tmp_path, "t.json", povm_to_obj(z))
+    assert main(["dilate", "probcheck", "--spec", spec_file, "--target", target, "--json"]) == 0
+    out = _json_out(capsys)
+    assert out["holds"] and out["agrees"] and out["max_gap"] == 0.0
+    assert main(["sic", "build", "--dim", "1", "--json"]) == 0
+    assert _json_out(capsys)["effects"] == [[[[1.0, 0.0]]]]
+
+
 def test_tuned_claims(tmp_path, capsys):
     z = computational_povm(2)
     spec = naimark_construct(z)
@@ -373,6 +387,33 @@ def test_agent_cli_round_trip(tmp_path, capsys):
         back = json.load(fh)
     assert list(back["direct"]) == ["z"]
     assert back["history"][-1]["event"] == "incorporate"
+
+
+def _false_certificate(tmp_path, **edits):
+    """An agent holding the computational basis's apparatus, and a certificate
+    claiming that apparatus performs the X basis, with ``edits`` applied."""
+    pushed = deconstruct(AgentState(target_dim=2, direct={"z": computational_povm(2)}), "z")
+    spec = pushed.external["proxy:z"].proxies["z"]
+    cert = certificate_to_obj(verify_tuned([(spec.y, xbasis_povm())], [spec]))
+    cert.update(edits)
+    for pair in cert["pairs"]:
+        pair["residual"] = 0.0
+    agent_file = _write(tmp_path, "agent.json", agent_to_obj(pushed))
+    cert_file = str(tmp_path / "cert.json")
+    with open(cert_file, "w") as fh:
+        json.dump(cert, fh)  # writes an infinite tol as Infinity, which json reads back
+    return ["agent", "incorporate", "--agent", agent_file, "--system", "proxy:z",
+            "--tuning", cert_file, "--mode", "exclusive", "--json"]
+
+
+@pytest.mark.parametrize("edits, error", [
+    ({"tuned": True}, "tuning precedes extension: certificate residual 5.000e-01 exceeds 1.0e-09"),
+    ({"tol": float("inf")}, "certificate: tol must be positive and finite, got inf"),
+], ids=["residuals", "infinite-tol"])
+def test_incorporate_refuses_a_certificate_that_states_false_residuals(tmp_path, capsys,
+                                                                      edits, error):
+    assert main(_false_certificate(tmp_path, **edits)) == 2
+    assert _json_out(capsys) == {"error": error}
 
 
 # ------------------------------------------------------------------- misc

@@ -10,7 +10,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mftk import compare, computational_povm, povm_to_obj, save_json, xbasis_povm
+from mftk import (
+    AgentState,
+    agent_to_obj,
+    certificate_to_obj,
+    compare,
+    computational_povm,
+    deconstruct,
+    dilation_to_obj,
+    naimark_construct,
+    povm_to_obj,
+    proxy_certificate,
+    save_json,
+    xbasis_povm,
+)
 from mftk.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -45,6 +58,27 @@ def test_validate_leaves_scipy_optimize_unloaded(tmp_path):
     lines = _fresh(f"import sys\nfrom mftk.cli import main\n"
                    f"assert main(['validate', {path!r}]) == 0\n{LOADED}")
     assert lines[-1] == "False"
+
+
+def test_calibration_commands_leave_every_scipy_module_unloaded(tmp_path):
+    # Modules stay loaded once imported, so one interpreter running all
+    # three commands shows that none of them loads any part of scipy.
+    z = computational_povm(2)
+    pushed = deconstruct(AgentState(target_dim=2, direct={"x": xbasis_povm()}), "x")
+    files = {}
+    for name, obj in (("z", povm_to_obj(z)), ("spec", dilation_to_obj(naimark_construct(z))),
+                      ("agent", agent_to_obj(pushed)),
+                      ("cert", certificate_to_obj(proxy_certificate(pushed, "proxy:x")))):
+        files[name] = str(tmp_path / f"{name}.json")
+        save_json(files[name], obj)
+    runs = [["dilate", "naimark", "--povm", files["z"]],
+            ["dilate", "probcheck", "--spec", files["spec"], "--target", files["z"]],
+            ["agent", "incorporate", "--agent", files["agent"], "--system", "proxy:x",
+             "--tuning", files["cert"], "--mode", "exclusive"]]
+    lines = _fresh("import sys\nfrom mftk.cli import main\n"
+                   f"for argv in {runs!r}:\n    assert main(argv + ['--json']) == 0\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert lines[-1] == "[]"
 
 
 def test_compare_loads_scipy_optimize_with_an_unchanged_verdict(tmp_path, tilted_basis):

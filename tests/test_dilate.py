@@ -13,6 +13,7 @@ from mftk import (
     build_sic,
     check_tuning_probabilistic,
     computational_povm,
+    hermitize,
     induced_povm,
     is_generalized_dilation,
     maximally_mixed,
@@ -20,6 +21,7 @@ from mftk import (
     povm_to_conditional,
     random_povm,
     random_state,
+    trivial_povm,
     validate_povm,
     verify_tuned,
     xbasis_povm,
@@ -187,6 +189,36 @@ def test_naimark_random_povms():
         assert check.holds, f"trial {i}: residual {check.residual}"
 
 
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 2), (3, 4), (4, 5), (5, 25), (8, 64)])
+def test_naimark_coupling_completes_the_stacked_roots(d, n):
+    z = random_povm(d, n, seed=[55, d, n])
+    spec = naimark_construct(z)
+    (u,) = spec.phi.kraus
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(n * d), rtol=0, atol=1e-12)
+    roots = []
+    for effect in z.matrices():
+        w, v = np.linalg.eigh(hermitize(effect))
+        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    assert u[:, :d].tobytes() == np.concatenate(roots).tobytes()
+    if n * d > 125:
+        return  # a check on a 512-dimensional joint space takes seconds
+
+    # The probe starts in |0>, so the checks read the coupling only through
+    # its first d columns: rotating the completion changes no bit of them.
+    rng = np.random.default_rng([56, d, n])
+    k = n * d - d
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    rotated = u.copy()
+    rotated[:, d:] = u[:, d:] @ q
+    other = DilationSpec(sigma=spec.sigma, phi=QuantumChannel.unitary(rotated), y=spec.y,
+                         dim_s=n, dim_t=d)
+    assert is_generalized_dilation(spec.y, z, other) == is_generalized_dilation(spec.y, z, spec)
+    assert induced_povm(other).matrices().tobytes() == induced_povm(spec).matrices().tobytes()
+    if n <= 5:  # the probabilistic check needs a reference measurement on the probe
+        assert (check_tuning_probabilistic(other, z, seed=3)
+                == check_tuning_probabilistic(spec, z, seed=3))
+
+
 def test_verify_tuned_batches():
     targets = [random_povm(2, n, seed=[50, n]) for n in (2, 3)]
     specs = [naimark_construct(z) for z in targets]
@@ -221,6 +253,18 @@ def test_probabilistic_check_agrees_with_operator_route():
     report = check_tuning_probabilistic(spec, swapped, n_states=30, seed=1, tol=1e-8)
     assert not report.holds and not report.operator_holds and report.agrees
     assert report.max_gap > 0.1
+
+
+@pytest.mark.parametrize("z", [
+    trivial_povm(2),
+    trivial_povm(3),
+    Povm.from_matrices(1, [np.array([[0.3]]), np.array([[0.7]])]),
+], ids=["trivial-2", "trivial-3", "dim-1"])
+def test_probabilistic_check_with_a_one_dimensional_probe_or_target(z):
+    # A single-outcome target has a one-dimensional probe.
+    report = check_tuning_probabilistic(naimark_construct(z), z)
+    assert report.holds and report.operator_holds and report.agrees
+    assert report.max_gap <= 1e-15
 
 
 def test_probabilistic_check_vacuous_without_states():

@@ -46,7 +46,7 @@ from mftk import (
     verify_tuned,
     xbasis_povm,
 )
-from mftk.errors import SchemaError
+from mftk.errors import SchemaError, TuningRequiredError
 from mftk.fileio import _complex_from, _matrix_from, candidates_from_obj, sic_probs_from_obj
 
 
@@ -124,6 +124,48 @@ def test_certificate_round_trip():
     assert back.tuned and not back.vacuous
     assert len(back.pairs) == 1
     assert back.pairs[0].residual == cert.pairs[0].residual
+
+
+def test_certificate_is_verified_again_when_read():
+    # A file whose residuals were edited to 0.0 claims the computational
+    # basis's apparatus performs the X basis. Reading recomputes them, so
+    # the apparatus is not incorporated.
+    agent = AgentState(target_dim=2, direct={"z": computational_povm(2)})
+    pushed = deconstruct(agent, "z")
+    spec = pushed.external["proxy:z"].proxies["z"]
+    obj = certificate_to_obj(verify_tuned([(spec.y, xbasis_povm())], [spec]))
+    honest = obj["pairs"][0]["residual"]
+    assert honest > 0.1
+    obj["pairs"][0]["residual"] = 0.0
+    obj["tuned"] = True
+    cert = certificate_from_obj(json.loads(dump_json(obj)))
+    assert cert.residuals() == (honest,) and not cert.tuned
+    with pytest.raises(TuningRequiredError, match=f"residual {honest:.3e} exceeds 1.0e-09"):
+        incorporate(pushed, "proxy:z", cert, "exclusive")
+
+
+def test_certificate_pair_that_cannot_be_checked_names_the_certificate():
+    z = computational_povm(2)
+    spec = naimark_construct(z)
+    obj = certificate_to_obj(verify_tuned([(spec.y, z)], [spec]))
+    obj["pairs"][0]["z"] = povm_to_obj(random_povm(2, 3, seed=85))
+    with pytest.raises(SchemaError, match=r"^tuning: pointer has 2 outcomes, target has 3$") as err:
+        certificate_from_obj(obj, "tuning")
+    assert err.value.path == "tuning"
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_certificate_tolerance_must_be_positive_and_finite(tol):
+    # Python's json reads NaN and Infinity; an infinite tol would pass any pair.
+    z = computational_povm(2)
+    spec = naimark_construct(z)
+    obj = certificate_to_obj(verify_tuned([(spec.y, xbasis_povm())], [spec]))
+    obj["tol"] = tol
+    with pytest.raises(SchemaError, match="^certificate: tol must be positive and finite"):
+        certificate_from_obj(json.loads(json.dumps(obj)))
+    obj["pairs"] = []
+    with pytest.raises(SchemaError, match="^certificate: tol must be positive and finite"):
+        certificate_from_obj(obj)
 
 
 def test_decision_round_trip():

@@ -59,6 +59,16 @@ def test_build_sic_higher_dims_overlaps():
         assert validate_povm(sic.povm).ok
 
 
+def test_build_sic_dimension_one():
+    # The one unit vector is its own shift/clock orbit, and the measurement
+    # is the single trivial effect.
+    sic = build_sic(1)
+    assert sic.povm.matrices().tolist() == [[[1.0]]]
+    assert validate_povm(sic.povm).ok
+    p = state_to_sic_probs(basis_state(1, 0), sic)
+    assert p.probs.tolist() == [1.0]
+
+
 def test_build_sic_unsupported_dimension():
     with pytest.raises(UnsupportedDimensionError, match="no built-in fiducial"):
         build_sic(7)
@@ -312,6 +322,17 @@ def test_discover_requires_positive_dimension():
     table = ProbabilityTable.from_model(states, [computational_povm(2)])
     with pytest.raises(ValueError):
         discover_system(table, 0)
+
+
+@pytest.mark.parametrize("keyword", ["max_iters", "restarts"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_discover_refuses_fewer_than_one_iteration_or_restart(keyword, value):
+    # Without the check, max_iters=0 ran every restart without an iteration
+    # and answered infeasible on a table restart 1 fits, and restarts=0 ran
+    # one restart anyway.
+    table = ProbabilityTable.from_model([basis_state(2, 0)], [computational_povm(2)])
+    with pytest.raises(ValueError, match="^max_iters and restarts must be >= 1, got "):
+        discover_system(table, 2, **{keyword: value})
 
 
 @pytest.mark.parametrize("n_prep, labels, rows, empty", [

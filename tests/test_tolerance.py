@@ -10,6 +10,8 @@ import pytest
 import mftk
 from mftk import (
     AgentState,
+    ProbabilityTable,
+    basis_state,
     agent_to_obj,
     certificate_to_obj,
     computational_povm,
@@ -18,6 +20,7 @@ from mftk import (
     naimark_construct,
     povm_to_obj,
     proxy_certificate,
+    povm_from_obj,
     save_json,
     xbasis_povm,
 )
@@ -152,3 +155,24 @@ def test_subcommand_tolerance_defaults(cli_files, monkeypatch, capsys,
     assert cli.main(argv + ["--tol", "0.25"]) == 0
     capsys.readouterr()
     assert calls == [default, 0.25]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_library_refuses_a_tolerance_that_is_not_positive_and_finite(value):
+    # Each call is one that a NaN or infinite tolerance used to pass: a POVM
+    # with an eigenvalue of -0.2, an X-basis apparatus against the Z basis.
+    z = computational_povm(2)
+    negative = povm_from_obj({"dim": 2, "effects": [[[1.2, 0], [0, 0.5]], [[-0.2, 0], [0, 0.5]]]})
+    spec = naimark_construct(xbasis_povm())
+    table = ProbabilityTable.from_model([basis_state(2, 0)], [z])
+    calls = [
+        ("atol", lambda: measure.validate_povm(negative, atol=value)),
+        ("tol", lambda: dilate.is_generalized_dilation(spec.y, z, spec, tol=value)),
+        ("tol", lambda: dilate.verify_tuned([(spec.y, z)], [spec], tol=value)),
+        ("tol", lambda: dilate.verify_tuned([], [], tol=value)),
+        ("tol", lambda: dilate.check_tuning_probabilistic(spec, z, tol=value)),
+        ("tol", lambda: sicrep.discover_system(table, 2, tol=value)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            call()
