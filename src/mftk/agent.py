@@ -37,7 +37,7 @@ from .dilate import (
 )
 from .errors import DimensionMismatchError, TuningRequiredError
 from .measure import Povm
-from .opalg import CHECK_ATOL, DECISION_ATOL
+from .opalg import CHECK_ATOL, DECISION_ATOL, check_tol
 from .order import povm_set_geq
 
 CASES = ("downgrade", "duplicate", "upgrade", "innovation")
@@ -118,6 +118,7 @@ def classify_extension(x_set, z_set, tol: float = DECISION_ATOL) -> str:
     anything else is an innovation. An empty current set is dominated
     by anything, so extending from nothing classifies as an upgrade.
     """
+    check_tol(tol)
     x_set = list(x_set)
     z_set = list(z_set)
     dims = {p.dim for p in x_set} | {p.dim for p in z_set}

@@ -73,9 +73,14 @@ def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
     Hermitian-basis coordinates c_z of Z_z and the x-major vector lambda,
     minimize |A lambda - b| over lambda >= 0, where
     b = (coords(X_x), 1) and A[:, (x, z)] = (e_x (x) c_z, e_z). It is
-    solved by Lawson and Hanson's active-set method on the Gram matrix
-    A^T A = I (x) C C^T + 1 1^T (x) I with C = (c_z), whose entries are
-    Tr(Z_z Z_z') (Lawson & Hanson 1974, ch. 23; Bro & de Jong 1997).
+    solved on the Gram matrix A^T A = I (x) C C^T + 1 1^T (x) I, with
+    C = (c_z) and entries Tr(Z_z Z_z'), by block principal pivoting:
+    every infeasible variable changes sides at once, one at a time as a
+    backup against cycling, and a singular passive block (z's effects
+    linearly dependent) is solved by least squares (Kim & Park, SIAM J.
+    Sci. Comput. 33, 3261 (2011); Judice & Pires, Comput. Oper. Res. 21,
+    587 (1994)). After 10 steps per variable, which a singular A^T A can
+    cause, it starts again on A^T A + 10 eps Tr(A^T A) I.
     Whatever the solve returns, the answer rests only on a check made
     afterwards in matrix space, from the effects as given:
 
@@ -97,8 +102,8 @@ def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
       at least |r|^2, because A^T r <= 0 there and b^T r = |r|^2.
     - **otherwise** (a pair within a few ``tol`` of the boundary, a
       ``tol`` so large that the least-squares witness misses it while
-      another would not, or a singular or non-converging solve) a linear
-      program decides, as before: min t subject to
+      another would not, or a solve that gives up) a linear program
+      decides, as before: min t subject to
       |sum_z lambda(x|z) Z_z - X_x| <= t coordinatewise in the basis,
       with lambda column-stochastic. The relation holds when its witness
       reproduces x entrywise within ``tol``, and ``residual`` is that
@@ -124,8 +129,13 @@ def _nnls_geq(z: Povm, x: Povm, tol: float) -> GeqResult | None:
     zm, xm = z.matrices(), x.matrices()
     z_coords, x_coords = basis.coords(zm), basis.coords(xm)  # (nz, D), (nx, D)
     nz, nx = len(z_coords), len(x_coords)
-    gram = np.kron(np.eye(nx), z_coords @ z_coords.T) + np.kron(np.ones((nx, nx)), np.eye(nz))
-    lam = _nnls_gram(gram, (x_coords @ z_coords.T + 1.0).reshape(-1))
+    gram = np.zeros((nx, nz, nx, nz))  # I (x) C C^T + 1 1^T (x) I, block by block
+    gram[np.arange(nx), :, np.arange(nx), :] = z_coords @ z_coords.T
+    gram[:, np.arange(nz), :, np.arange(nz)] += 1.0
+    gram, h = gram.reshape(nx * nz, -1), (x_coords @ z_coords.T + 1.0).reshape(-1)
+    lam = _nnls_gram(gram, h)
+    if lam is None:  # the pivoting can cycle when z's effects are linearly dependent
+        lam = _nnls_gram(gram + 10 * np.finfo(float).eps * np.trace(gram) * np.eye(len(h)), h)
     if lam is None:
         return None
     lam = lam.reshape(nx, nz)
@@ -147,46 +157,32 @@ def _nnls_geq(z: Povm, x: Povm, tol: float) -> GeqResult | None:
 
 
 def _nnls_gram(gram: np.ndarray, h: np.ndarray) -> np.ndarray | None:
-    """Lawson-Hanson: argmin |A lambda - b| over lambda >= 0, from
-    ``gram`` = A^T A and ``h`` = A^T b. Entries outside the passive set
-    stay exactly zero. Returns None when a passive block is singular or
-    the active set has not settled after 3n additions."""
+    """argmin |A lambda - b| over lambda >= 0 from ``gram`` = A^T A and
+    ``h`` = A^T b, by block principal pivoting (Kim & Park 2011) with the
+    one-variable backup rule of Judice & Pires (1994) after 3 steps that
+    do not shrink the infeasible count; see ``povm_geq``. Each passive
+    block is solved on the sorted passive indices, by least squares when
+    singular; other entries are exactly zero. None after 10n steps."""
     n = len(h)
     lam = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     floor = 10 * n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(h))))
-    for _ in range(3 * n):
-        gradient = np.where(passive, -np.inf, h - gram @ lam)
-        new = int(np.argmax(gradient))
-        if gradient[new] <= floor:
+    fewest, grace = n + 1, 3
+    for _ in range(10 * n):
+        infeasible = np.where(passive, lam <= 0, h - gram @ lam > floor)
+        count = np.count_nonzero(infeasible)
+        if not count:
             return lam
-        passive[new] = True
-        while True:
-            idx = np.flatnonzero(passive)
-            try:
-                s = np.linalg.solve(gram[idx[:, None], idx], h[idx])
-            except np.linalg.LinAlgError:
-                return None
-            if not np.isfinite(s).all():
-                return None
-            if s.min() > 0:
-                lam[idx] = s
-                break
-            if passive[new] and lam[new] == 0.0 and s[np.searchsorted(idx, new)] <= 0:
-                # The entering variable's gradient was round-off: it cannot
-                # move, so the current lambda is already optimal.
-                passive[new] = False
-                return lam
-            # Step from lam towards s until the first passive entry hits zero.
-            # Every passive entry but the entering one is positive, and that
-            # one has s > 0 here, so no ratio is 0/0.
-            old = lam[idx]
-            blocked = s <= 0
-            ratios = old[blocked] / (old[blocked] - s[blocked])
-            step = ratios.min()
-            lam[idx] = np.clip(old + step * (s - old), 0.0, None)
-            lam[idx[blocked][ratios == step]] = 0.0
-            passive &= lam > 0
+        fewest, grace = (count, 3) if count < fewest else (fewest, grace - 1)
+        if grace < 0:  # backup rule: only the last infeasible index moves
+            infeasible[:np.flatnonzero(infeasible)[-1]] = False
+        passive ^= infeasible
+        idx = np.flatnonzero(passive)
+        lam = np.zeros(n)
+        try:
+            lam[idx] = np.linalg.solve(gram[idx[:, None], idx], h[idx])
+        except np.linalg.LinAlgError:  # z's effects are linearly dependent
+            lam[idx] = np.linalg.lstsq(gram[idx[:, None], idx], h[idx])[0]
     return None
 
 
@@ -268,6 +264,7 @@ def is_trivial_class(p: Povm, tol: float = DECISION_ATOL) -> bool:
     about the state: the equivalence class of the single-outcome
     measurement.
     """
+    opalg.check_tol(tol)
     m = p.matrices()
     scale = np.trace(m, axis1=1, axis2=2).real / p.dim
     return bool(np.max(np.abs(m - scale[:, None, None] * np.eye(p.dim))) <= tol)
@@ -275,6 +272,7 @@ def is_trivial_class(p: Povm, tol: float = DECISION_ATOL) -> bool:
 
 def is_rank_one_povm(p: Povm, tol: float = DECISION_ATOL) -> bool:
     """True when every nonzero effect has rank one (eigenvalues above tol)."""
+    opalg.check_tol(tol)
     w = np.linalg.eigvalsh(opalg.hermitize(p.matrices()))
     return bool(np.all(np.sum(w > tol, axis=1) <= 1))
 
@@ -451,6 +449,7 @@ def povm_set_geq(zs, xs, tol: float = DECISION_ATOL) -> SetOrderResult:
     ``assignments[j]`` is the index in zs of the first witnessing
     measurement for xs[j], or None.
     """
+    opalg.check_tol(tol)
     zs = list(zs)
     xs = list(xs)
     assignments: list[int | None] = []

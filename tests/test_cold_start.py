@@ -10,17 +10,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from mftk import (
     AgentState,
+    Povm,
+    StochasticMatrix,
     agent_to_obj,
+    build_sic,
     certificate_to_obj,
     compare,
     computational_povm,
     deconstruct,
     dilation_to_obj,
     naimark_construct,
+    post_process,
     povm_to_obj,
     proxy_certificate,
+    random_povm,
     save_json,
     xbasis_povm,
 )
@@ -119,3 +126,28 @@ def test_mf_compare_loads_scipy_optimize_only_at_the_boundary(tmp_path, capsys, 
         assert main(argv) == 0
         assert lines[:-1] == capsys.readouterr().out.splitlines()
         assert lines[-1] == loaded
+
+
+def test_compare_with_linearly_dependent_effects_leaves_scipy_optimize_unloaded(tmp_path, capsys):
+    # Six qubit effects are linearly dependent, so some passive blocks of the
+    # order's least-squares solve are singular (exactly so when effects repeat,
+    # as in the split SIC); the solve must still settle the pair without the LP.
+    sic = build_sic(2).povm
+    halves = np.repeat(sic.matrices()[:2] / 2, 2, axis=0)  # E0/2, E0/2, E1/2, E1/2
+    split_sic = Povm.from_matrices(2, np.concatenate([halves, sic.matrices()[2:]]))
+    raw = np.random.default_rng(81).uniform(size=(3, 6))
+    post = StochasticMatrix(6, 3, raw / raw.sum(axis=0))
+    runs, warm = [], []
+    for i, left in enumerate((random_povm(2, 6, seed=80), split_sic)):
+        for j, right in enumerate((post_process(left, post), sic)):
+            files = [str(tmp_path / f"{i}{j}{side}.json") for side in "lr"]
+            save_json(files[0], povm_to_obj(left))
+            save_json(files[1], povm_to_obj(right))
+            runs.append(["compare", "--left", files[0], "--right", files[1], "--json"])
+            assert main(runs[-1]) == 0
+            warm.append(capsys.readouterr().out)
+    lines = _fresh("import sys\nfrom mftk.cli import main\n"
+                   f"for argv in {runs!r}:\n    assert main(argv) == 0\n{LOADED}")
+    assert lines[:-1] == "".join(warm).splitlines()
+    assert [json.loads(out)["relation"] for out in warm[::2]] == ["geq", "geq"]
+    assert lines[-1] == "False"

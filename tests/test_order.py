@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -175,12 +176,110 @@ def test_nnls_verdicts_match_the_lp_and_carry_their_proof(monkeypatch):
     assert settled_without_lp == len(pairs)
 
 
-def test_nnls_stops_when_the_entering_variable_cannot_move():
-    # With a true Gram matrix only round-off lets a variable with a positive
-    # gradient solve to <= 0; this indefinite one forces it exactly. The
-    # solve must end there, neither cycling nor stepping by 0/0.
-    lam = mftk.order._nnls_gram(np.array([[1.0, -2.0], [-2.0, 1.0]]), np.array([1.0, 3.0]))
-    assert lam.tolist() == [0.0, 3.0]
+def _least_squares_problem(z, x):
+    """Explicit A and b of ``povm_geq``'s least-squares problem, in real
+    coordinates of this test's own (the real and imaginary parts of every
+    entry): A[:, (x, z)] = (e_x (x) v(Z_z), e_z), b = (v(X_x), 1)."""
+    def v(m):
+        return np.concatenate([m.real.reshape(len(m), -1), m.imag.reshape(len(m), -1)], axis=1)
+
+    zc, xc = v(z.matrices()), v(x.matrices())
+    nz, nx = len(zc), len(xc)
+    coords, sums = np.zeros((nx, zc.shape[1], nx, nz)), np.zeros((nz, nx, nz))
+    for k in range(nx):
+        coords[k, :, k, :] = zc.T
+        sums[:, k, :] = np.eye(nz)
+    a = np.concatenate([coords.reshape(-1, nx * nz), sums.reshape(nz, -1)])
+    return a, np.concatenate([xc.reshape(-1), np.ones(nz)])
+
+
+def test_nnls_solution_meets_the_optimality_conditions(monkeypatch):
+    # Pairs whose Gram matrix is singular (duplicated effects, six qubit
+    # effects) as well as full-rank ones; the solve is checked against the
+    # Karush-Kuhn-Tucker conditions and scipy's NNLS on the explicit problem.
+    seen, nnls_gram = [], mftk.order._nnls_gram
+
+    def capturing(gram, h):
+        seen.append((gram, h))
+        return nnls_gram(gram, h)
+
+    monkeypatch.setattr(mftk.order, "_nnls_gram", capturing)
+    rng = np.random.default_rng(73)
+    pairs = []
+    for d in (2, 3, 4):
+        z, x = random_povm(d, 4, seed=[74, d]), random_povm(d, 3, seed=[75, d])
+        halves = z.matrices()[:1] / 2
+        duplicated = Povm.from_matrices(d, np.concatenate([halves, halves, z.matrices()[1:]]))
+        copy = post_process(duplicated, _random_stochastic(5, 3, rng))
+        pairs += [(z, x), (x, z), (duplicated, x), (duplicated, copy), (z, build_sic(d).povm),
+                  (build_sic(d).povm, z), (trivial_povm(d), x)]
+    six = random_povm(2, 6, seed=76)
+    pairs += [(six, post_process(six, _random_stochastic(6, 3, rng))), (six, build_sic(2).povm),
+              (six, random_povm(2, 6, seed=77))]
+    singular = 0
+    for z, x in pairs:
+        seen.clear()
+        povm_geq(z, x)
+        (gram, h), = seen
+        a, b = _least_squares_problem(z, x)
+        np.testing.assert_allclose(gram, a.T @ a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h, a.T @ b, rtol=0, atol=1e-12)
+        # The block-built Gram is the Kronecker form bit for bit.
+        zc = mftk.opalg.hermitian_basis(z.dim).coords(z.matrices())
+        nx, nz = x.n_outcomes, z.n_outcomes
+        kron = np.kron(np.eye(nx), zc @ zc.T) + np.kron(np.ones((nx, nx)), np.eye(nz))
+        assert gram.tobytes() == kron.tobytes()
+        singular += np.linalg.matrix_rank(a) < a.shape[1]
+        lam = nnls_gram(a.T @ a, a.T @ b)
+        gradient = a.T @ (b - a @ lam)
+        floor = 10 * len(lam) * np.finfo(float).eps * max(1.0, np.max(np.abs(a.T @ b)))
+        support = lam > 0
+        assert np.all(support | (lam == 0.0))
+        assert np.all(gradient[~support] <= floor)
+        assert np.all(np.abs(gradient[support]) <= 1e-12)
+        _, best = scipy.optimize.nnls(a, b)
+        assert abs(np.linalg.norm(a @ lam - b) - best) <= 1e-12
+    assert singular >= 9
+
+
+def test_nnls_ends_within_its_cap_on_an_indefinite_matrix(monkeypatch):
+    # No Gram matrix is indefinite, and on this one the pivoting cycles: the
+    # solve must give up after its 10 steps per variable, without a warning.
+    solves, solve = [], np.linalg.solve
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = mftk.order._nnls_gram(np.array([[1.0, -2.0], [-2.0, 1.0]]), np.array([1.0, 3.0]))
+    assert lam is None
+    assert 0 < len(solves) <= 20
+
+
+def test_a_pair_on_which_the_pivoting_cycles_is_settled_without_the_lp(monkeypatch):
+    # Six qubit effects are linearly dependent, so the Gram matrix is singular
+    # and on this pair the pivoting cycles until its cap; the solve is repeated
+    # on the Gram matrix plus round-off on its diagonal, which settles it.
+    z, x = random_povm(2, 6, seed=117), random_povm(2, 2, seed=[117, 1])
+    assert not mftk.order._lp_geq(z, x, 1e-8).holds
+    solved, nnls_gram = [], mftk.order._nnls_gram
+
+    def no_lp(**kwargs):
+        raise AssertionError("the LP ran")
+
+    def recording(gram, h):
+        solved.append(nnls_gram(gram, h))
+        return solved[-1]
+
+    monkeypatch.setattr(mftk.order, "linprog", no_lp)
+    monkeypatch.setattr(mftk.order, "_nnls_gram", recording)
+    result = povm_geq(z, x)
+    assert solved[0] is None and solved[1] is not None and not result.holds
+    margin, bound = _game_margin_and_bound(result.certificate, z, x, 1e-8)
+    assert margin > bound
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])

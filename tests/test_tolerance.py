@@ -5,11 +5,13 @@ import ast
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
 import mftk
 from mftk import (
     AgentState,
+    Povm,
     ProbabilityTable,
     basis_state,
     agent_to_obj,
@@ -175,4 +177,23 @@ def test_library_refuses_a_tolerance_that_is_not_positive_and_finite(value):
     ]
     for name, call in calls:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            call()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_order_predicates_and_set_comparisons_refuse_a_bad_tolerance(value):
+    # A NaN tolerance called the coin (I/2, I/2) rank one and an infinite one
+    # called the computational basis trivial; empty sets skip every comparison.
+    coin = Povm.from_matrices(2, [np.eye(2) / 2, np.eye(2) / 2])
+    z = computational_povm(2)
+    calls = [
+        lambda: order.is_rank_one_povm(coin, value),
+        lambda: order.is_trivial_class(z, value),
+        lambda: order.povm_set_geq([z], [xbasis_povm()], value),
+        lambda: order.povm_set_geq([], [], value),
+        lambda: agent.classify_extension([z], [xbasis_povm()], value),
+        lambda: agent.classify_extension([], [], value),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^tol must be positive and finite, got"):
             call()
