@@ -7,7 +7,9 @@ searches on states and effects, polishes near-solutions with a local
 least-squares refinement, and only reports success after rounding to
 an exactly valid model that still reproduces every table entry. The
 script recovers a hidden qubit model from its own table, then shows a
-table no qubit model can produce coming back infeasible.
+table no qubit model can produce being ruled out before any search: its
+preparations are pairwise perfectly distinguishable, and four such
+states need four dimensions.
 """
 
 import numpy as np
@@ -53,10 +55,9 @@ def main():
     print("(the fitted model need not equal the hidden one; any model")
     print(" reproducing the table is an acceptable explanation)\n")
 
-    # A table with no qubit explanation: measurement A makes preparations
-    # 1 and 3 identical and preparations 2 and 4 identical, which for
-    # deterministic outcomes forces the states themselves to coincide,
-    # while measurement B then separates the coinciding pairs.
+    # A table with no qubit explanation: every pair of the four
+    # preparations is told apart with certainty by measurement A or B, so
+    # their states are pairwise orthogonal, which takes four dimensions.
     rows_a = [[1, 0], [0, 1], [1, 0], [0, 1]]
     rows_b = [[1, 0], [0, 1], [0, 1], [1, 0]]
     contradictory = ProbabilityTable(
@@ -67,12 +68,15 @@ def main():
             for rows in (rows_a, rows_b)
         ),
     )
-    result = discover_system(contradictory, 2, restarts=5, seed=0)
-    print("contradictory table (A pins each preparation, B contradicts A):")
-    print(f"  feasible={result.feasible}  best residual {result.residual:.4f}")
-    print("  no dimension-2 model exists, and the search says so rather than")
-    print("  returning its best approximation as if it were an explanation")
-
+    print("contradictory table (A and B together tell every pair of preparations apart):")
+    for d in (2, 4):
+        result = discover_system(contradictory, d, seed=0)
+        print(f"  dim {d}: verdict {result.verdict}, restarts used {result.restarts_used}")
+        if result.certificate is not None:
+            cert = result.certificate
+            print(f"    {cert['bound']} bound: d >= {cert['value']:.5f} on preparations "
+                  f"{cert['preparations']}, so no dimension-{d} model exists")
+    print("  (a search that merely gave up would say 'not_found', which proves nothing)")
 
 if __name__ == "__main__":
     main()

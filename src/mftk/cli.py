@@ -303,17 +303,16 @@ def _cmd_discover(args) -> int:
             table, d, max_iters=args.max_iters, tol=args.fit_tol,
             restarts=args.restarts, seed=args.seed,
         )
-        scanned.append({"dim": d, "feasible": result.feasible,
-                        "residual": float(result.residual)})
+        row = {"dim": d, "feasible": result.feasible, "residual": float(result.residual),
+               "verdict": result.verdict}
+        if result.certificate is not None:
+            row["certificate"] = result.certificate
+        scanned.append(row)
         if result.feasible:
             chosen = (d, result)
             break
     obj = {"scanned": scanned, "feasible": chosen is not None}
-    lines = [
-        f"dim {row['dim']}: {'feasible' if row['feasible'] else 'infeasible'}"
-        f" (residual {_fmt(row['residual'])})"
-        for row in scanned
-    ]
+    lines = [f"dim {row['dim']}: {_discovery_text(row)}" for row in scanned]
     if chosen is not None:
         d, result = chosen
         obj.update({
@@ -324,10 +323,22 @@ def _cmd_discover(args) -> int:
             "povms": [fileio.povm_to_obj(p) for p in result.povms],
         })
         lines.append(f"model found in dim {d} after {result.restarts_used} restart(s)")
-    else:
+    elif all(row["verdict"] == "ruled_out" for row in scanned):
         lines.append("no dimension in range admits a model at this tolerance")
+    else:
+        lines.append("no model found at this tolerance; a search that gives up proves nothing")
     _emit(args, obj, lines)
     return 0
+
+
+def _discovery_text(row: dict) -> str:
+    if row["verdict"] == "found":
+        return f"found (residual {_fmt(row['residual'])})"
+    if row["verdict"] == "not_found":
+        return f"not found (best residual {_fmt(row['residual'])})"
+    cert = row["certificate"]
+    return (f"ruled out ({cert['bound']} bound {_fmt(cert['value'])} > {_fmt(cert['limit'])}"
+            f" on preparations {cert['preparations']})")
 
 
 def _cmd_agent_classify(args) -> int:

@@ -162,20 +162,29 @@ def _nnls_gram(gram: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     one-variable backup rule of Judice & Pires (1994) after 3 steps that
     do not shrink the infeasible count; see ``povm_geq``. Each passive
     block is solved on the sorted passive indices, by least squares when
-    singular; other entries are exactly zero. None after 10n steps."""
+    singular; other entries are exactly zero. None after 10n steps, or
+    as soon as a passive set repeats under the backup rule: that rule maps
+    each passive set to the next one, so a repeat is a cycle."""
     n = len(h)
     lam = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     floor = 10 * n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(h))))
     fewest, grace = n + 1, 3
+    seen = set()  # passive sets visited since the backup rule last took over
     for _ in range(10 * n):
         infeasible = np.where(passive, lam <= 0, h - gram @ lam > floor)
         count = np.count_nonzero(infeasible)
         if not count:
             return lam
         fewest, grace = (count, 3) if count < fewest else (fewest, grace - 1)
-        if grace < 0:  # backup rule: only the last infeasible index moves
+        if grace >= 0:
+            seen.clear()
+        else:  # backup rule: only the last infeasible index moves
             infeasible[:np.flatnonzero(infeasible)[-1]] = False
+            key = (passive ^ infeasible).tobytes()
+            if key in seen:
+                return None
+            seen.add(key)
         passive ^= infeasible
         idx = np.flatnonzero(passive)
         lam = np.zeros(n)

@@ -300,11 +300,27 @@ class ProbabilityTable:
 
 @dataclass(frozen=True)
 class DiscoveryResult:
+    """Verdict of ``discover_system``.
+
+    ``certificate`` is set only when the dimension was ruled out from the
+    table alone: a dict with the ``bound`` ("rank" or "fidelity"), its
+    ``value``, the ``limit`` that value exceeds, and the ``preparations``
+    (0-based indices) it was computed on.
+    """
+
     feasible: bool
     states: tuple[DensityMatrix, ...]
     povms: tuple[Povm, ...]
     residual: float
     restarts_used: int
+    certificate: dict | None = None
+
+    @property
+    def verdict(self) -> str:
+        """One of "found", "ruled_out" (proven impossible) and "not_found" (the search gave up)."""
+        if self.feasible:
+            return "found"
+        return "not_found" if self.certificate is None else "ruled_out"
 
     @property
     def model(self):
@@ -600,6 +616,45 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
         yield restart, _repair_model(table, d, states, effect_sets)
 
 
+def _dimension_certificate(q_arrays, d, tol):
+    """Proof from the table alone that no d-dimensional model reproduces it
+    within ``tol`` entrywise, as ``DiscoveryResult.certificate``, or None.
+
+    Q stacks the per-measurement (n, n_k) arrays into n rows and m columns.
+    The rank bound compares sigma_{d^2+1}(Q) with tol sqrt(n m) plus the
+    SVD's round-off. The fidelity bound evaluates n_S^2 / sum_{i,j in S} f_ij
+    on the preparation subsets S met by greedily dropping the preparation
+    with the most overlap mass, and compares the best with d plus its
+    round-off. Both are derived in ``discover_system``.
+    """
+    q = np.hstack(q_arrays)
+    n, m = q.shape
+    eps = np.finfo(float).eps
+    if d * d < min(n, m):
+        sigma = np.linalg.svd(q, compute_uv=False)
+        limit = tol * np.sqrt(n * m) + 4 * max(n, m) * eps * sigma[0]
+        if sigma[d * d] > limit:
+            return {"bound": "rank", "value": float(sigma[d * d]), "limit": float(limit),
+                    "preparations": list(range(n))}
+    roots = [np.sqrt(np.minimum(1.0, q_k + tol)) for q_k in q_arrays]
+    f = np.minimum(1.0, np.min([(r @ r.T) ** 2 for r in roots], axis=0)).tolist()
+    keep = list(range(n))
+    mass = [sum(row) for row in f]  # overlap mass of each preparation inside keep
+    best, subset = 0.0, keep
+    while keep:
+        value = len(keep) ** 2 / sum(mass[i] for i in keep)
+        if value > best:
+            best, subset = value, list(keep)
+        drop = max(keep, key=lambda i: 2 * mass[i] - f[i][i])
+        keep.remove(drop)
+        for i in keep:
+            mass[i] -= f[i][drop]
+    limit = d * (1 + 4 * (n * n + m) * eps)
+    if best > limit:
+        return {"bound": "fidelity", "value": best, "limit": float(limit), "preparations": subset}
+    return None
+
+
 def discover_system(
     table: ProbabilityTable,
     d: int,
@@ -611,23 +666,47 @@ def discover_system(
 ) -> DiscoveryResult:
     """Search for a dimension-d quantum model reproducing a probability table.
 
-    Alternating projected-gradient descent on the squared residual: with
-    measurements fixed the objective is quadratic in each state, and an
-    exact line search along the gradient is available; likewise for the
-    effects with states fixed. The iterate lives in Hermitian-basis
-    coordinates: one (n_prep, d^2) array for the states and one (n_k, d^2)
-    array per measurement. States are projected back to the PSD unit-trace
-    set by eigenvalue clipping and trace renormalization; effects by PSD
-    clipping followed by spreading the completeness excess evenly. Iterates
-    that come within 1e-2 of the table are finished by ``_polish_model``.
+    The verdict (``DiscoveryResult.verdict``) says what was shown:
+    - "found": a model reproduces every table entry within ``tol``. It is
+      reported only after being rounded to an exactly valid model that
+      still does, so it is sound by construction.
+    - "ruled_out": no d-dimensional model can, proven from the table alone
+      before any restart (``restarts_used`` 0, ``residual`` inf, and the
+      proof in ``certificate``).
+    - "not_found": no restart converged; ``residual`` is the best rounded
+      model's. This proves nothing about d.
 
-    Restart 1 runs alone; if it fails, restarts 2..``restarts`` run as one
-    batch (``_restart_batch``), and the answer is still the lowest-numbered
-    restart that succeeds, so ``restarts_used`` and the best residual mean
-    what a one-by-one run would give. A candidate is only reported feasible
-    after being rounded to an exactly valid model that still reproduces
-    every table entry within ``tol``, so feasible verdicts are sound by
-    construction; infeasible verdicts only mean no restart converged.
+    Two bounds rule d out, in the spirit of dimension witnesses (Wehner,
+    Christandl & Doherty, PRA 78, 062112 (2008); Gallego et al., PRL 105,
+    230501 (2010)). Stack the table into Q, n preparations by m effect
+    columns over all measurements; a model within ``tol`` has table P with
+    |Q - P| <= tol entrywise.
+    - Rank: P = S E factors through the d^2 real coordinates of a
+      Hermitian operator, so rank P <= d^2, and
+      ||Q - P||_2 <= ||Q - P||_F <= tol sqrt(n m). By Weyl's inequality
+      sigma_{d^2+1}(Q) <= tol sqrt(n m); a larger value rules d out.
+    - Fidelity: with f_ij = min_k (sum_o sqrt(min(1, q_ik(o) + tol)
+      min(1, q_jk(o) + tol)))^2, capped at 1, Tr rho_i rho_j <=
+      F(rho_i, rho_j) <= f_ij, since the fidelity is at most the classical
+      fidelity of any measurement. And sum_ij Tr rho_i rho_j =
+      Tr (sum_i rho_i)^2 >= n^2 / d by Cauchy-Schwarz. So d >= n^2 / sum_ij f_ij, on every
+      subset of the preparations; ``_dimension_certificate`` tries the
+      greedy subsets and rules d out when the bound exceeds d by more than
+      its round-off.
+
+    The search is alternating projected-gradient descent on the squared
+    residual: with measurements fixed the objective is quadratic in each
+    state, and an exact line search along the gradient is available;
+    likewise for the effects with states fixed. The iterate lives in
+    Hermitian-basis coordinates: one (n_prep, d^2) array for the states and
+    one (n_k, d^2) array per measurement. States are projected back to the
+    PSD unit-trace set by eigenvalue clipping and trace renormalization;
+    effects by PSD clipping followed by spreading the completeness excess
+    evenly. Iterates that come within 1e-2 of the table are finished by
+    ``_polish_model``. Restart 1 runs alone; if it fails, restarts
+    2..``restarts`` run as one batch (``_restart_batch``), and the answer is
+    still the lowest-numbered restart that succeeds, so ``restarts_used``
+    and the best residual mean what a one-by-one run would give.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -638,6 +717,14 @@ def discover_system(
         raise ValueError("probability table has no measurements")
     if table.n_preparations == 0:
         raise ValueError("probability table has no preparations")
+    certificate = _dimension_certificate(table.as_arrays(), d, tol)
+    if certificate is not None:
+        return DiscoveryResult(False, (), (), np.inf, 0, certificate)
+    return _search(table, d, max_iters, tol, restarts, seed)
+
+
+def _search(table, d, max_iters, tol, restarts, seed) -> DiscoveryResult:
+    """The restarts of ``discover_system``: "found" or "not_found"."""
     basis = opalg.hermitian_basis(d)
     best = None  # (residual, states, povms)
     for batch in (range(1), range(1, restarts)):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mftk import Povm
+from mftk import OutcomeDistribution, Povm, ProbabilityTable, save_json, table_to_obj
 
 
 @pytest.fixture
@@ -26,3 +26,15 @@ def tilted_basis():
         return Povm.from_matrices(d, effects)
 
     return make
+
+
+@pytest.fixture
+def contradictory_table_file(tmp_path):
+    """Path of acceptance #8's table as JSON: A or B tells every pair of its
+    four preparations apart with certainty, so d = 1..3 are ruled out."""
+    rows = (((1, 0), (0, 1), (1, 0), (0, 1)), ((1, 0), (0, 1), (0, 1), (1, 0)))
+    table = ProbabilityTable(4, ("A", "B"), tuple(
+        tuple(OutcomeDistribution(("0", "1"), np.array(p, float)) for p in r) for r in rows))
+    path = str(tmp_path / "contradictory.json")
+    save_json(path, table_to_obj(table))
+    return path

@@ -6,6 +6,7 @@ import pytest
 import scipy.optimize
 
 import mftk.order
+import mftk.sicrep
 
 from mftk import (
     Povm,
@@ -495,6 +496,50 @@ def test_discover_nonpositive_search_budget_rejected(tmp_path, capsys, flag, val
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} must be at least 1" in captured.err
+
+
+def test_discover_scan_rules_out_dimensions_without_a_restart(contradictory_table_file, capsys,
+                                                              monkeypatch):
+    searched, restart_batch = [], mftk.sicrep._restart_batch
+
+    def recording(table, basis, restarts, *args):
+        searched.append(basis.dim)
+        return restart_batch(table, basis, restarts, *args)
+
+    monkeypatch.setattr(mftk.sicrep, "_restart_batch", recording)
+    table_file = contradictory_table_file
+    assert main(["discover", "--table", table_file, "--scan-dim", "1..4", "--json"]) == 0
+    out = _json_out(capsys)
+    assert [row["verdict"] for row in out["scanned"]] == ["ruled_out"] * 3 + ["found"]
+    assert [row["feasible"] for row in out["scanned"]] == [False] * 3 + [True]
+    assert [row["certificate"]["bound"] for row in out["scanned"][:3]] == [
+        "rank", "fidelity", "fidelity"]
+    assert all(row["residual"] == float("inf") for row in out["scanned"][:3])
+    assert "certificate" not in out["scanned"][3]
+    assert (out["feasible"], out["dim"], out["restarts_used"]) == (True, 4, 1)
+    assert searched == [4]  # restart 1 alone; it fits, so no batch follows
+
+    assert main(["discover", "--table", table_file, "--scan-dim", "1..4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "dim 2: ruled out (fidelity bound 3.99995 > 2 on preparations [0, 1, 2, 3])"
+    assert lines[-1] == "model found in dim 4 after 1 restart(s)"
+
+
+def test_discover_claims_no_model_exists_only_when_every_dimension_is_ruled_out(
+        tmp_path, capsys, contradictory_table_file):
+    argv = ["discover", "--table", contradictory_table_file, "--scan-dim", "1..3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "no dimension in range admits a model at this tolerance")
+    # d = 1 is ruled out, but a one-iteration search in d = 2 merely gives up.
+    argv = ["discover", "--table", _hinted_qubit_table(tmp_path), "--scan-dim", "1..2",
+            "--restarts", "1", "--max-iters", "1"]
+    assert main(argv + ["--json"]) == 0
+    assert [row["verdict"] for row in _json_out(capsys)["scanned"]] == ["ruled_out", "not_found"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("dim 2: not found (best residual ")
+    assert lines[-1] == "no model found at this tolerance; a search that gives up proves nothing"
 
 
 def test_tol_on_discover_points_to_fit_tol(tmp_path, capsys):

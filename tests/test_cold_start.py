@@ -88,6 +88,17 @@ def test_calibration_commands_leave_every_scipy_module_unloaded(tmp_path):
     assert lines[-1] == "[]"
 
 
+def test_a_ruled_out_discovery_leaves_every_scipy_module_unloaded(contradictory_table_file):
+    # Acceptance #8's table in d = 2 is ruled out by its fidelity bound
+    # before any restart, so no polish, and no part of scipy, runs.
+    argv = ["discover", "--table", contradictory_table_file, "--dim", "2", "--json"]
+    lines = _fresh("import sys\nfrom mftk.cli import main\n"
+                   f"assert main({argv!r}) == 0\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert json.loads("\n".join(lines[:-1]))["scanned"][0]["verdict"] == "ruled_out"
+    assert lines[-1] == "[]"
+
+
 def test_compare_loads_scipy_optimize_with_an_unchanged_verdict(tmp_path, tilted_basis):
     # Positive control: a pair at the boundary reaches the order LP, which
     # does import the solver, and the verdict from a cold process matches

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion and prints its result line."""
+"""Every demo script runs to completion and prints its result lines."""
 
 import pathlib
 import runpy
@@ -8,13 +8,18 @@ import pytest
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 HEADLINES = {
-    "agent_boundary.py": "  case 'upgrade', final class {Z}, comparison '>'",
-    "discover_hidden_system.py": "discovery: feasible=True",
-    "naimark_apparatus.py": "probabilistic check over 200 random states:",
-    "ordering_and_utility.py": (
-        "z vs noisy over 200 random utilities: dominance holds=True, reversals=0, consistent=True"
+    "agent_boundary.py": ("  case 'upgrade', final class {Z}, comparison '>'",),
+    "discover_hidden_system.py": (
+        "discovery: feasible=True",
+        "  dim 2: verdict ruled_out, restarts used 0",
+        "    fidelity bound: d >= 3.99995 on preparations [0, 1, 2, 3]",
+        "  dim 4: verdict found, restarts used 1",
     ),
-    "two_update_rules.py": "Reference measurement: qubit tetrahedron",
+    "naimark_apparatus.py": ("probabilistic check over 200 random states:",),
+    "ordering_and_utility.py": (
+        "z vs noisy over 200 random utilities: dominance holds=True, reversals=0, consistent=True",
+    ),
+    "two_update_rules.py": ("Reference measurement: qubit tetrahedron",),
 }
 
 
@@ -26,4 +31,5 @@ def test_every_demo_is_covered():
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    assert any(line.startswith(HEADLINES[name]) for line in lines)
+    for headline in HEADLINES[name]:
+        assert any(line.startswith(headline) for line in lines), headline

@@ -244,7 +244,8 @@ def test_nnls_solution_meets_the_optimality_conditions(monkeypatch):
 
 def test_nnls_ends_within_its_cap_on_an_indefinite_matrix(monkeypatch):
     # No Gram matrix is indefinite, and on this one the pivoting cycles: the
-    # solve must give up after its 10 steps per variable, without a warning.
+    # solve must give up, at the latest after its 10 steps per variable,
+    # without a warning.
     solves, solve = [], np.linalg.solve
 
     def counting_solve(*args):
@@ -261,7 +262,7 @@ def test_nnls_ends_within_its_cap_on_an_indefinite_matrix(monkeypatch):
 
 def test_a_pair_on_which_the_pivoting_cycles_is_settled_without_the_lp(monkeypatch):
     # Six qubit effects are linearly dependent, so the Gram matrix is singular
-    # and on this pair the pivoting cycles until its cap; the solve is repeated
+    # and on this pair the pivoting cycles; the solve is repeated
     # on the Gram matrix plus round-off on its diagonal, which settles it.
     z, x = random_povm(2, 6, seed=117), random_povm(2, 2, seed=[117, 1])
     assert not mftk.order._lp_geq(z, x, 1e-8).holds
@@ -280,6 +281,28 @@ def test_a_pair_on_which_the_pivoting_cycles_is_settled_without_the_lp(monkeypat
     assert solved[0] is None and solved[1] is not None and not result.holds
     margin, bound = _game_margin_and_bound(result.certificate, z, x, 1e-8)
     assert margin > bound
+
+
+def test_a_cycle_under_the_backup_rule_ends_the_first_solve_at_once(monkeypatch):
+    # On the pair above the passive set first repeats at step 8 (first seen
+    # at step 6) under the one-variable backup rule. The first solve ends
+    # there instead of running on to its 120-step cap, and the ridge retry
+    # gives the verdict it gave when the cap ended the first solve: 130
+    # solves then, bit for bit the same game.
+    solves, solve = [], np.linalg.solve
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    result = povm_geq(random_povm(2, 6, seed=117), random_povm(2, 2, seed=[117, 1]))
+    assert len(solves) <= 20
+    assert (result.holds, result.witness, result.residual) == (False, None, 0.08904844938298105)
+    a, b = 0.05518311676150652 + 0.15539637466742187j, 0.05646561743341892 + 0.1566252085563086j
+    game = [[[0.06692196398807063, a], [a.conjugate(), -0.051155858333091955]],
+            [[-0.07401636923832813, -b], [-b.conjugate(), 0.04724696642175802]]]
+    assert np.array_equal(result.certificate, np.array(game))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])

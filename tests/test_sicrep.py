@@ -26,7 +26,14 @@ from mftk import (
     validate_povm,
 )
 from mftk import opalg
-from mftk.sicrep import _polish_jacobian, _polish_residuals, _repair_model, _restart_batch
+from mftk.sicrep import (
+    _dimension_certificate,
+    _polish_jacobian,
+    _polish_residuals,
+    _repair_model,
+    _restart_batch,
+    _search,
+)
 from mftk.errors import (
     DimensionMismatchError,
     InconsistentPairError,
@@ -409,28 +416,26 @@ def test_discover_verdicts_are_pinned():
         for trial in range(trials):
             result = discover_system(_hidden_model_table(d, n_prep, trial), d, seed=trial)
             assert (result.feasible, result.restarts_used) == (True, 1), (d, trial)
+            assert result.verdict == "found" and result.certificate is None
             assert result.residual < 1e-6
 
-    rows_a = [[1, 0], [0, 1], [1, 0], [0, 1]]
-    rows_b = [[1, 0], [0, 1], [0, 1], [1, 0]]
-    contradictory = ProbabilityTable(
-        n_preparations=4,
-        measurement_labels=("A", "B"),
-        distributions=tuple(
-            tuple(OutcomeDistribution(("0", "1"), np.array(p, float)) for p in rows)
-            for rows in (rows_a, rows_b)
-        ),
-    )
+    # The contradictory table is ruled out before any restart; the search
+    # itself, run regardless, still gives up after every restart.
     for s in range(3):
-        result = discover_system(contradictory, 2, restarts=5, seed=s)
-        assert (result.feasible, result.restarts_used) == (False, 5)
+        result = discover_system(_contradictory_table(), 2, restarts=5, seed=s)
+        assert (result.feasible, result.verdict, result.restarts_used) == (False, "ruled_out", 0)
+        assert result.residual == np.inf and result.certificate["bound"] == "fidelity"
+        searched = _search(_contradictory_table(), 2, 500, 1e-6, 5, s)
+        assert (searched.feasible, searched.verdict, searched.restarts_used) == (
+            False, "not_found", 5)
         # The best repaired model misses by (2 - sqrt 2) / 4 on every run.
-        assert result.residual == pytest.approx((2 - np.sqrt(2)) / 4, abs=1e-9)
+        assert searched.residual == pytest.approx((2 - np.sqrt(2)) / 4, abs=1e-9)
 
 
 def _contradictory_table():
-    # Acceptance #8's table: measurement A makes preparation 3 coincide with
-    # preparation 1, measurement B separates them deterministically.
+    # Acceptance #8's table: A or B tells every pair of the four preparations
+    # apart with certainty, so their states are pairwise orthogonal and no
+    # model below dimension 4 holds them.
     rows_a = [[1, 0], [0, 1], [1, 0], [0, 1]]
     rows_b = [[1, 0], [0, 1], [0, 1], [1, 0]]
     return ProbabilityTable(
@@ -513,11 +518,17 @@ def test_discovery_loop_skips_validation(monkeypatch):
         method = getattr(opalg.HermitianBasis, name)
         monkeypatch.setattr(opalg.HermitianBasis, name, counted(method, "checked"))
     restarts = 5
-    result = discover_system(_contradictory_table(), 2, restarts=restarts, seed=0)
+    result = _search(_contradictory_table(), 2, 500, 1e-6, restarts, 0)
     assert (result.feasible, result.restarts_used) == (False, restarts)
     bound = 8 * restarts
     assert calls["checked"] <= bound
     assert calls["kernel"] > 5 * bound
+
+    # A dimension ruled out by its certificate runs no restart at all.
+    calls.update(checked=0, kernel=0)
+    result = discover_system(_contradictory_table(), 2, restarts=restarts, seed=0)
+    assert (result.verdict, result.restarts_used) == ("ruled_out", 0)
+    assert calls == {"checked": 0, "kernel": 0}
 
 
 def test_repair_rejects_a_vanishing_effect_set():
@@ -526,3 +537,116 @@ def test_repair_rejects_a_vanishing_effect_set():
     stack = np.array([rho.matrix for rho in states])
     assert _repair_model(table, 2, stack, [np.zeros((2, 2, 2), dtype=complex)]) is None
     assert _repair_model(table, 2, stack, [computational_povm(2).matrices()])[0] < 1e-12
+
+
+# --------------------------------------------------- dimension certificates
+
+def _stacked(table):
+    # Row m: every outcome probability of preparation m, measurement by measurement.
+    return np.array([np.concatenate([row[m].probs for row in table.distributions])
+                     for m in range(table.n_preparations)])
+
+
+def _overlap_bound(table, i, j, tol):
+    # min over measurements of the classical fidelity of the tol-inflated rows.
+    f = 1.0
+    for row in table.distributions:
+        a = np.minimum(1.0, row[i].probs + tol)
+        b = np.minimum(1.0, row[j].probs + tol)
+        f = min(f, float(np.sum(np.sqrt(a * b))) ** 2)
+    return f
+
+
+def _fidelity_bound(table, preparations, tol):
+    total = sum(_overlap_bound(table, i, j, tol) for i in preparations for j in preparations)
+    return len(preparations) ** 2 / total
+
+
+def _assert_certificate_recomputes(cert, table, d, tol):
+    n, m = _stacked(table).shape
+    if cert["bound"] == "rank":
+        assert cert["preparations"] == list(range(n))
+        sigma = np.linalg.svd(_stacked(table), compute_uv=False)
+        assert abs(cert["value"] - sigma[d * d]) <= 1e-12
+        assert 0 <= cert["limit"] - tol * np.sqrt(n * m) <= 1e-12
+    else:
+        assert cert["bound"] == "fidelity"
+        own = _fidelity_bound(table, cert["preparations"], tol)
+        assert abs(cert["value"] - own) <= 1e-12
+        assert 0 <= cert["limit"] - d <= 1e-12
+    assert cert["value"] > cert["limit"]
+
+
+def _noisy(table, eps, seed):
+    # Each distribution mixed with its own random one, weight eps: the model
+    # stays within eps of every entry, and the table is no model's table.
+    rng = np.random.default_rng(seed)
+
+    def shifted(q):
+        w = rng.dirichlet(np.ones(len(q)))
+        return OutcomeDistribution(q.labels, (1 - eps) * q.probs + eps * w)
+
+    rows = tuple(tuple(shifted(q) for q in row) for row in table.distributions)
+    return ProbabilityTable(table.n_preparations, table.measurement_labels, rows)
+
+
+def _model_tables(d):
+    # Tables of d-dimensional models: mixed and pure states, projective and
+    # random POVMs, mixed outcome counts, enough preparations and outcomes for
+    # the rank bound to apply, and orthogonal basis states, for which the
+    # fidelity bound comes within 4 tol of d.
+    rng = np.random.default_rng([47, d])
+    mixed = [random_state(d, seed=[48, d, m]) for m in range(d * d + 2)]
+    pure = [pure_state(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+            for _ in range(d + 3)]
+    basis = [basis_state(d, k) for k in range(d)]
+    projective = [Povm.from_matrices(d, _projective(_haar(d, rng))) for _ in range(2)]
+    counted = [random_povm(d, 2, seed=[49, d]), computational_povm(d),
+               random_povm(d, 3, seed=[50, d])]
+    wide = [random_povm(d, d * d + 1, seed=[51, d]), random_povm(d, 2, seed=[52, d])]
+    return [ProbabilityTable.from_model(states, povms) for states, povms in (
+        (mixed, wide), (mixed, counted), (pure, projective), (pure, counted + projective),
+        (basis, [computational_povm(d)]), (basis + pure, projective + [computational_povm(d)]),
+    )]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tables_of_d_dimensional_models_are_never_ruled_out_at_d(d):
+    for k, table in enumerate(_model_tables(d)):
+        for tol, shown in ((1e-6, table), (1e-6, _noisy(table, 1e-6, [53, d, k])),
+                           (1e-3, _noisy(table, 1e-3, [54, d, k]))):
+            assert _dimension_certificate(shown.as_arrays(), d, tol) is None
+            n, m = _stacked(shown).shape
+            if d * d < min(n, m):
+                sigma = np.linalg.svd(_stacked(shown), compute_uv=False)
+                assert sigma[d * d] <= tol * np.sqrt(n * m)
+            assert _fidelity_bound(shown, range(n), tol) <= d
+
+
+def test_contradictory_table_is_ruled_out_below_four_and_found_at_four():
+    table = _contradictory_table()
+    bounds = []
+    for d in (1, 2, 3):
+        result = discover_system(table, d)
+        assert (result.feasible, result.verdict, result.restarts_used) == (False, "ruled_out", 0)
+        assert result.residual == np.inf and result.states == () and result.povms == ()
+        _assert_certificate_recomputes(result.certificate, table, d, 1e-6)
+        bounds.append(result.certificate["bound"])
+    # The table's rank is 3 <= 2^2, so only the fidelity bound reaches d = 2, 3.
+    assert bounds == ["rank", "fidelity", "fidelity"]
+    assert _fidelity_bound(table, range(4), 1e-6) == pytest.approx(16 / (4 + 12 * 4e-6), abs=1e-12)
+    found = discover_system(table, 4)
+    assert (found.verdict, found.certificate) == ("found", None)
+
+
+def test_fidelity_certificate_names_the_subset_it_needs():
+    # A fifth, maximally mixed preparation dilutes the full-set bound below
+    # 3; dropping it recovers the four pairwise-orthogonal preparations.
+    table = _contradictory_table()
+    half = OutcomeDistribution(("0", "1"), np.array([0.5, 0.5]))
+    table = ProbabilityTable(5, table.measurement_labels,
+                             tuple(row + (half,) for row in table.distributions))
+    assert 2 < _fidelity_bound(table, range(5), 1e-6) < 3
+    cert = discover_system(table, 3).certificate
+    assert cert["bound"] == "fidelity" and cert["preparations"] == [0, 1, 2, 3]
+    _assert_certificate_recomputes(cert, table, 3, 1e-6)
