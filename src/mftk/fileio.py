@@ -485,6 +485,8 @@ def load_json(filename: str):
         raise SchemaError(filename, f"cannot read file: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(filename, f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(filename, f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
 def dump_json(obj) -> str:

@@ -67,7 +67,7 @@ def as_matrix(m) -> np.ndarray:
     out = np.asarray(m, dtype=complex)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out.view(float))):
+    if not np.all(np.isfinite(out)):
         raise ValueError("matrix has non-finite entries")
     return out
 

@@ -54,10 +54,10 @@ def bayes_update(prior_h: float, prior_e: float, likelihood_e_given_h: float) ->
 class GeqResult:
     """Verdict of ``povm_geq``.
 
-    ``witness`` is the stochastic matrix behind a positive answer.
-    ``certificate`` is the game behind a negative answer settled without
-    the LP: read-only test operators W_x, shape (n_x, d, d); it is None
-    otherwise.
+    ``witness`` is the stochastic matrix behind a positive answer, with
+    ``residual`` its entrywise gap. ``certificate`` is the game behind a
+    negative answer settled without the LP (read-only W_x, shape
+    (n_x, d, d)), with ``residual`` the entrywise miss it proves; or None.
     """
 
     holds: bool
@@ -89,27 +89,24 @@ def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
       at most ``tol``. ``residual`` is that gap.
     - **does not hold** when the residual r = b - A lambda proves it. Its
       basis part gives Hermitian test operators W_x, a game scored
-      Tr(W_x E) for reporting x on effect E. For any column-stochastic
-      mu, let D_x = sum_z mu(x|z) Z_z - X_x. Since
-      sum_x mu(x|z) Tr(W_x Z_z) <= max_x Tr(W_x Z_z), the margin
-      m = sum_x Tr(W_x X_x) - sum_z max_x Tr(W_x Z_z) obeys
-      m <= -sum_x Re Tr(W_x D_x) <= sum_x |W_x|_1 |D_x|_op, and
-      |D|_op <= |D|_F <= d max_ij |D_ij|. So every post-processing of z
-      misses x somewhere by at least m / (d sum_x |W_x|_1), the trace
-      norm being the sum of |eigenvalues|. The answer is "does not hold"
-      when that bound exceeds ``tol``; ``residual`` is the bound and
-      ``certificate`` holds the W_x. At an exact optimum the margin is
-      at least |r|^2, because A^T r <= 0 there and b^T r = |r|^2.
+      Tr(W_x E) for reporting x on effect E. For column-stochastic mu and
+      D_x = sum_z mu(x|z) Z_z - X_x, sum_x mu(x|z) Tr(W_x Z_z) is at most
+      max_x Tr(W_x Z_z), so the margin m = sum_x Tr(W_x X_x) -
+      sum_z max_x Tr(W_x Z_z) is at most -sum_x Re Tr(W_x D_x) <=
+      |W| max_xij |D_x,ij|, with |W| = sum_xij |W_x,ij|. Every
+      post-processing of z thus misses x somewhere by at least m / |W|,
+      which is ``residual``; the answer is "does not hold" when it
+      exceeds ``tol``, and ``certificate`` holds the W_x. At an exact
+      optimum m >= |r|^2, because A^T r <= 0 there and b^T r = |r|^2.
     - **otherwise** (a pair within a few ``tol`` of the boundary, a
       ``tol`` so large that the least-squares witness misses it while
       another would not, or a solve that gives up) a linear program
-      decides, as before: min t subject to
-      |sum_z lambda(x|z) Z_z - X_x| <= t coordinatewise in the basis,
-      with lambda column-stochastic. The relation holds when its witness
-      reproduces x entrywise within ``tol``, and ``residual`` is that
-      witness's gap either way. The LP is always feasible and bounded,
-      so a solver that stops without success raises ``SolverError``
-      rather than answering either way.
+      decides: min t subject to |sum_z lambda(x|z) Z_z - X_x| <= t
+      coordinatewise in the basis, with lambda column-stochastic. The
+      relation holds when its witness reproduces x entrywise within
+      ``tol``, and ``residual`` is that witness's gap either way. The LP
+      is always feasible and bounded, so a solver that stops without
+      success raises ``SolverError`` rather than answering either way.
 
     On every path ``holds == (residual <= tol)``. ``tol`` must be
     positive and finite; anything else raises ``ValueError`` before any
@@ -148,7 +145,7 @@ def _nnls_geq(z: Povm, x: Povm, tol: float) -> GeqResult | None:
     games = basis.matrix(x_coords - lam @ z_coords)  # W_x, from the residual's basis part
     margin = (np.einsum("xij,xji->", games, xm).real
               - np.einsum("xij,zji->xz", games, zm).real.max(axis=0).sum())
-    scale = z.dim * np.abs(np.linalg.eigvalsh(games)).sum()
+    scale = np.abs(games).sum()  # the dual of the entrywise max norm
     if margin > tol * scale:
         games.setflags(write=False)
         return GeqResult(holds=False, witness=None, residual=float(margin / scale),

@@ -12,10 +12,11 @@ def tilted_basis():
     tilted by +-eps (|0><1| + |1><0|).
 
     Every post-processing of ``computational_povm(d)`` is diagonal, so it
-    misses the tilted basis by exactly eps entrywise; the game ``povm_geq``
-    reads off the least-squares residual proves only a miss of eps / d.
-    With tol < eps <= d * tol the pair therefore reaches the LP fallback,
-    which answers "does not hold".
+    misses the tilted basis by exactly eps entrywise. The game ``povm_geq``
+    reads off the least-squares residual proves a miss above tol < eps
+    without the LP, and at d = 2 it proves eps itself. The backward pair,
+    tilted basis to computational basis, reaches the LP fallback at d = 2
+    and 4, which answers "does not hold".
     """
 
     def make(d: int, eps: float = 1.5e-8) -> Povm:

@@ -185,6 +185,17 @@ def test_error_reporting_streams(tmp_path, capsys):
     assert "error" in json.loads(captured.out)
 
 
+def test_a_file_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys):
+    target = tmp_path / "bad.json"
+    target.write_bytes(b"\xff\xfe{}")
+    message = f"{target}: not valid UTF-8: invalid start byte at byte 0"
+    assert main(["validate", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["validate", str(target), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert (json.loads(captured.out), captured.err) == ({"error": message}, "")
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, json_flag):
     out = str(tmp_path / "missing" / "x.json")

@@ -326,3 +326,8 @@ def test_load_json_failure_modes(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError, match="not valid JSON"):
         load_json(str(bad))
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SchemaError) as caught:
+        load_json(str(utf16))
+    assert str(caught.value) == f"{utf16}: not valid UTF-8: invalid start byte at byte 0"

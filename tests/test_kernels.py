@@ -392,20 +392,22 @@ def test_povm_geq_lp_matches_row_by_row_build(monkeypatch, tilted_basis):
         return scipy.optimize.linprog(**kwargs)
 
     monkeypatch.setattr(mftk.order, "linprog", recording_linprog)
-    # The LP path itself, on every shape, and povm_geq on pairs at the
-    # boundary, the ones it hands to the LP.
+    # The LP path itself, on every shape (a split qutrit basis, whose
+    # effects are linearly dependent, among them), and povm_geq on pairs
+    # at the boundary, the ones it hands to the LP.
+    split = computational_povm(3).matrices() * [[[1.0]], [[1.0]], [[0.5]]]
+    split = Povm.from_matrices(3, np.concatenate([split, split[2:]]))
     pairs = [
         (computational_povm(2), xbasis_povm()),
         (build_sic(2).povm, computational_povm(2)),
         (random_povm(3, 4, seed=31), random_povm(3, 2, seed=32)),
         (random_povm(4, 3, seed=33), random_povm(4, 5, seed=34)),
         (random_povm(1, 2, seed=35), random_povm(1, 1, seed=36)),
+        (split, tilted_basis(3)),
     ]
     cases = [(mftk.order._lp_geq, z, x) for z, x in pairs]
-    split = computational_povm(3).matrices() * [[[1.0]], [[1.0]], [[0.5]]]
-    for z in (computational_povm(2), computational_povm(4),
-              Povm.from_matrices(3, np.concatenate([split, split[2:]]))):
-        cases.append((povm_geq, z, tilted_basis(z.dim)))
+    for d in (2, 4):
+        cases.append((povm_geq, tilted_basis(d), computational_povm(d)))
     for solve, z, x in cases:
         solve(z, x, DECISION_ATOL)
         assert len(seen) == 1

@@ -261,3 +261,19 @@ def test_random_channel_is_trace_preserving():
         phi = random_channel(3, 2, seed=[7, i])
         total = sum(k.conj().T @ k for k in phi.kraus)
         np.testing.assert_allclose(total, np.eye(3), atol=1e-12)
+
+
+def test_value_types_take_transposed_complex_matrices():
+    m = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    assert np.array_equal(DensityMatrix(2, m.T).matrix, DensityMatrix(2, m.T.copy()).matrix)
+    u = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2)
+    assert np.array_equal(QuantumChannel.unitary(u.T).kraus[0], u.T.copy())
+    effects = np.array([[[0.5, 0.5j], [-0.5j, 0.5]], [[0.5, -0.5j], [0.5j, 0.5]]])
+    views = [e.T for e in effects]
+    copies = [e.T.copy() for e in effects]
+    assert np.array_equal(Povm.from_matrices(2, views).matrices(),
+                          Povm.from_matrices(2, copies).matrices())
+    broken = m.copy()
+    broken[0, 1] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        DensityMatrix(2, broken.T)

@@ -35,6 +35,20 @@ def test_as_matrix_rejects_bad_input():
         opalg.as_matrix(np.array([[np.inf, 0], [0, 1]]))
 
 
+def test_as_matrix_takes_transposed_and_strided_complex_input():
+    m = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    wide = np.zeros((2, 4), dtype=complex)
+    wide[:, ::2] = m
+    for view in (m.T, wide[:, ::2], np.asfortranarray(m)):
+        assert np.array_equal(opalg.as_matrix(view), np.ascontiguousarray(view))
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)):
+        broken = m.copy()
+        broken[1, 0] = bad
+        for view in (broken, broken.T, np.asfortranarray(broken)):
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                opalg.as_matrix(view)
+
+
 def test_freeze_is_read_only():
     m = opalg.freeze(np.eye(2))
     with pytest.raises(ValueError):

@@ -124,15 +124,26 @@ def test_geq_is_reflexive_and_transitive():
             np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-8)
 
 
-def _game_margin_and_bound(games, z, x, tol):
-    """The game's margin, sum_x Tr(W_x X_x) - sum_z max_x Tr(W_x Z_z), and
-    tol * d * sum_x |W_x|_1, which no game's margin exceeds while some
-    post-processing of z comes within ``tol`` of x: recomputed with plain
-    traces and singular values."""
+def _game_margin_and_bounds(games, z, x):
+    """The game's margin, sum_x Tr(W_x X_x) - sum_z max_x Tr(W_x Z_z); its
+    entrywise mass sum_x sum_ij |W_x,ij|, which times ``tol`` no margin
+    exceeds while some post-processing of z comes within ``tol`` of x
+    entrywise; and the older, looser scale d * sum_x |W_x|_1: recomputed
+    with plain traces, sums and singular values."""
     won = sum(np.trace(w @ e).real for w, e in zip(games, x.matrices()))
     best_on_z = sum(max(np.trace(w @ e).real for w in games) for e in z.matrices())
+    mass = sum(abs(w[i, j]) for w in games for i in range(z.dim) for j in range(z.dim))
     trace_norms = sum(np.linalg.svd(w, compute_uv=False).sum() for w in games)
-    return won - best_on_z, tol * z.dim * trace_norms
+    return won - best_on_z, mass, z.dim * trace_norms
+
+
+def _check_certificate(result, z, x, tol=1e-8):
+    """The game proves a miss above ``tol`` and the reported residual is no
+    smaller than the bound the trace-norm scale would have proven."""
+    margin, mass, trace_scale = _game_margin_and_bounds(result.certificate, z, x)
+    assert margin > tol * mass
+    assert mass <= trace_scale * (1 + 1e-12)
+    assert result.residual >= margin / trace_scale * (1 - 1e-12)
 
 
 def test_nnls_verdicts_match_the_lp_and_carry_their_proof(monkeypatch):
@@ -169,8 +180,7 @@ def test_nnls_verdicts_match_the_lp_and_carry_their_proof(monkeypatch):
             assert gap <= 1e-8 and result.certificate is None
         else:
             assert not result.certificate.flags.writeable
-            margin, bound = _game_margin_and_bound(result.certificate, z, x, 1e-8)
-            assert margin > bound
+            _check_certificate(result, z, x)
             # The game bounds every witness's gap from below, the LP's too.
             assert result.residual <= reference.residual + 1e-12
     assert settled_without_lp == len(pairs)
@@ -279,8 +289,7 @@ def test_a_pair_on_which_the_pivoting_cycles_is_settled_without_the_lp(monkeypat
     monkeypatch.setattr(mftk.order, "_nnls_gram", recording)
     result = povm_geq(z, x)
     assert solved[0] is None and solved[1] is not None and not result.holds
-    margin, bound = _game_margin_and_bound(result.certificate, z, x, 1e-8)
-    assert margin > bound
+    _check_certificate(result, z, x)
 
 
 def test_a_cycle_under_the_backup_rule_ends_the_first_solve_at_once(monkeypatch):
@@ -288,7 +297,8 @@ def test_a_cycle_under_the_backup_rule_ends_the_first_solve_at_once(monkeypatch)
     # at step 6) under the one-variable backup rule. The first solve ends
     # there instead of running on to its 120-step cap, and the ridge retry
     # gives the verdict it gave when the cap ended the first solve: 130
-    # solves then, bit for bit the same game.
+    # solves then, bit for bit the same game. The residual is that game's
+    # margin over its entrywise mass.
     solves, solve = [], np.linalg.solve
 
     def counting_solve(*args):
@@ -298,11 +308,32 @@ def test_a_cycle_under_the_backup_rule_ends_the_first_solve_at_once(monkeypatch)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     result = povm_geq(random_povm(2, 6, seed=117), random_povm(2, 2, seed=[117, 1]))
     assert len(solves) <= 20
-    assert (result.holds, result.witness, result.residual) == (False, None, 0.08904844938298105)
+    assert (result.holds, result.witness, result.residual) == (False, None, 0.13911721408594135)
     a, b = 0.05518311676150652 + 0.15539637466742187j, 0.05646561743341892 + 0.1566252085563086j
     game = [[[0.06692196398807063, a], [a.conjugate(), -0.051155858333091955]],
             [[-0.07401636923832813, -b], [-b.conjugate(), 0.04724696642175802]]]
     assert np.array_equal(result.certificate, np.array(game))
+
+
+def test_the_game_proves_the_least_gap_between_the_qubit_bases():
+    # Every post-processing of the standard basis is diagonal, so it misses
+    # the diagonal basis's off-diagonal 1/2 by at least 1/2, and the uniform
+    # post-processing misses by exactly that much.
+    result = povm_geq(computational_povm(2), xbasis_povm())
+    assert not result.holds and abs(result.residual - 0.5) <= 1e-15
+    _check_certificate(result, computational_povm(2), xbasis_povm())
+
+
+def test_the_game_proves_a_tilt_just_above_tol_without_the_lp(monkeypatch, tilted_basis):
+    def no_lp(**kwargs):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr(mftk.order, "linprog", no_lp)
+    z, x = computational_povm(2), tilted_basis(2, eps=1.5e-8)
+    result = povm_geq(z, x)
+    assert not result.holds and result.certificate is not None
+    assert abs(result.residual - 1.5e-8) <= 1e-20
+    _check_certificate(result, z, x)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
