@@ -303,7 +303,9 @@ def _cmd_discover(args) -> int:
             table, d, max_iters=args.max_iters, tol=args.fit_tol,
             restarts=args.restarts, seed=args.seed,
         )
-        row = {"dim": d, "feasible": result.feasible, "residual": float(result.residual),
+        # JSON has no infinity: a dimension with no model to measure gets null.
+        residual = float(result.residual) if math.isfinite(result.residual) else None
+        row = {"dim": d, "feasible": result.feasible, "residual": residual,
                "verdict": result.verdict}
         if result.certificate is not None:
             row["certificate"] = result.certificate
@@ -335,7 +337,8 @@ def _discovery_text(row: dict) -> str:
     if row["verdict"] == "found":
         return f"found (residual {_fmt(row['residual'])})"
     if row["verdict"] == "not_found":
-        return f"not found (best residual {_fmt(row['residual'])})"
+        residual = math.inf if row["residual"] is None else row["residual"]
+        return f"not found (best residual {_fmt(residual)})"
     cert = row["certificate"]
     return (f"ruled out ({cert['bound']} bound {_fmt(cert['value'])} > {_fmt(cert['limit'])}"
             f" on preparations {cert['preparations']})")

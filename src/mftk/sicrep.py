@@ -475,35 +475,71 @@ def _polish_jacobian(x, d, n_prep, counts, q_arrays):
     return jac.reshape(row, -1)
 
 
-def _polish_model(d, states, effect_sets, q_arrays):
+def _levenberg_marquardt(residuals, jacobian, x, tol):
+    """Minimize ||r(x)||^2 / 2 from x by Levenberg-Marquardt steps with
+    Nielsen's damping update (Marquardt, J. SIAM 11, 431 (1963); H. B.
+    Nielsen, IMM-REP-1999-05, DTU (1999)); returns the last accepted x.
+
+    ``residuals(x)`` is r, shape (R,), and ``jacobian(x)`` its (R, P) J. A
+    step is -J^T (J J^T + mu I)^{-1} r, for mu > 0 the damped Gauss-Newton
+    step -(J^T J + mu I)^{-1} J^T r, solved in R unknowns. Stops at the
+    first x with max |r| <= tol, a cost decrease below 1e-14 of the cost, a
+    step below 1e-14 (1e-14 + ||x||), max |J^T r| < 1e-12, or 3000
+    evaluations of r.
+    """
+    r = residuals(x)
+    cost, nfev, mu, nu = r @ r / 2, 1, None, 2.0
+    while np.max(np.abs(r)) > tol and nfev < 3000:
+        jac = jacobian(x)
+        g = jac.T @ r
+        if np.max(np.abs(g)) < 1e-12:
+            break
+        gram = jac @ jac.T
+        if mu is None:
+            mu = 1e-3 * np.max(np.sum(jac * jac, axis=0))
+        while nfev < 3000:
+            damped = gram + mu * np.eye(len(gram))
+            h = -jac.T @ np.linalg.solve(damped, r)
+            if np.linalg.norm(h) < 1e-14 * (1e-14 + np.linalg.norm(x)):
+                return x
+            r_new, nfev = residuals(x + h), nfev + 1
+            cost_new = r_new @ r_new / 2
+            gain = (cost - cost_new) / (h @ (mu * h - g) / 2)
+            if gain > 0:
+                break
+            mu, nu = mu * nu, 2 * nu
+        else:
+            break
+        if cost - cost_new < 1e-14 * cost:
+            return x + h
+        x, r, cost = x + h, r_new, cost_new
+        mu, nu = mu * max(1 / 3, 1 - (2 * gain - 1) ** 3), 2.0
+    return x
+
+
+def _polish_model(d, states, effect_sets, q_arrays, tol):
     """Local least-squares refinement of a near-feasible iterate.
 
     The alternating stage slows to a crawl when the solution sits on the
     boundary of the PSD cone (pure states, projective effects), so finish
     with a factorized parametrization where every iterate is exactly a
     valid model: states as G G^dag / tr, effect sets as S^{-1/2}-normalized
-    Gram blocks. On that parametrization the residuals are smooth and a
-    trust-region least-squares run converges locally fast. Takes and
-    returns an (n_prep, d, d) state stack and one (n_k, d, d) stack per
-    measurement. ``least_squares`` gets the exact Jacobian
-    ``_polish_jacobian`` (chain rule through G G^dag / tr for the states,
-    Daleckii-Krein divided differences of S^{-1/2} for the effects) as
-    ``jac``: one pass per measurement over the model's stacks, with no
-    residual evaluations.
+    Gram blocks. On that parametrization the residuals are smooth, and
+    ``_levenberg_marquardt`` on the exact ``_polish_jacobian`` converges
+    locally fast. It stops at the first iterate within ``tol`` less 64 ulps
+    of 1, so that rounding in ``_repair_model`` keeps it within ``tol``.
+    Takes and returns an (n_prep, d, d) state stack and one (n_k, d, d)
+    stack per measurement.
     """
     n_prep = len(states)
     counts = tuple(len(effects) for effects in effect_sets)
     w, v = np.linalg.eigh(opalg.hermitize(np.concatenate([states, *effect_sets])))
     factors = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     args = (d, n_prep, counts, q_arrays)
-    import scipy.optimize
-
-    sol = scipy.optimize.least_squares(
-        _polish_residuals, np.stack([factors.real, factors.imag], axis=1).ravel(),
-        jac=_polish_jacobian, args=args, method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-12,
-        max_nfev=3000,
-    )
-    out_states, out_effects = _polish_unpack(sol.x, d, n_prep, counts)
+    x = np.stack([factors.real, factors.imag], axis=1).ravel()
+    x = _levenberg_marquardt(lambda x: _polish_residuals(x, *args),
+                             lambda x: _polish_jacobian(x, *args), x, tol - 64 * np.finfo(float).eps)
+    out_states, out_effects = _polish_unpack(x, d, n_prep, counts)
     return opalg.hermitize(out_states), out_effects
 
 
@@ -612,7 +648,7 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
         states, effect_sets = model_at(i)
         if raw_worst[i] < 1e-2:
             # Close enough that terminal refinement is worth the call.
-            states, effect_sets = _polish_model(d, states, effect_sets, q_arrays)
+            states, effect_sets = _polish_model(d, states, effect_sets, q_arrays, tol)
         yield restart, _repair_model(table, d, states, effect_sets)
 
 
@@ -703,7 +739,8 @@ def discover_system(
     PSD unit-trace set by eigenvalue clipping and trace renormalization;
     effects by PSD clipping followed by spreading the completeness excess
     evenly. Iterates that come within 1e-2 of the table are finished by
-    ``_polish_model``. Restart 1 runs alone; if it fails, restarts
+    ``_polish_model``, a Levenberg-Marquardt run that stops at the first
+    iterate within ``tol``. Restart 1 runs alone; if it fails, restarts
     2..``restarts`` run as one batch (``_restart_batch``), and the answer is
     still the lowest-numbered restart that succeeds, so ``restarts_used``
     and the best residual mean what a one-by-one run would give.

@@ -525,7 +525,7 @@ def test_discover_scan_rules_out_dimensions_without_a_restart(contradictory_tabl
     assert [row["feasible"] for row in out["scanned"]] == [False] * 3 + [True]
     assert [row["certificate"]["bound"] for row in out["scanned"][:3]] == [
         "rank", "fidelity", "fidelity"]
-    assert all(row["residual"] == float("inf") for row in out["scanned"][:3])
+    assert all(row["residual"] is None for row in out["scanned"][:3])
     assert "certificate" not in out["scanned"][3]
     assert (out["feasible"], out["dim"], out["restarts_used"]) == (True, 4, 1)
     assert searched == [4]  # restart 1 alone; it fits, so no batch follows
@@ -551,6 +551,34 @@ def test_discover_claims_no_model_exists_only_when_every_dimension_is_ruled_out(
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("dim 2: not found (best residual ")
     assert lines[-1] == "no model found at this tolerance; a search that gives up proves nothing"
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def test_discover_json_has_no_infinity(tmp_path, capsys, monkeypatch, contradictory_table_file):
+    qubit = _hinted_qubit_table(tmp_path)
+    runs = [[contradictory_table_file, "--scan-dim", "1..4"],
+            [contradictory_table_file, "--scan-dim", "1..2"],
+            [qubit, "--scan-dim", "1..2", "--restarts", "1", "--max-iters", "1"],
+            [qubit, "--dim", "2"]]
+    verdicts = []
+    for argv in runs:
+        assert main(["discover", "--table", *argv, "--json"]) == 0
+        scanned = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["scanned"]
+        verdicts += [row["verdict"] for row in scanned]
+        assert all((row["residual"] is None) == (row["verdict"] == "ruled_out") for row in scanned)
+    assert set(verdicts) == {"found", "not_found", "ruled_out"}
+
+    # A search none of whose restarts rounds to a valid model has no residual.
+    monkeypatch.setattr(mftk.sicrep, "_repair_model", lambda *args: None)
+    argv = ["discover", "--table", qubit, "--dim", "2", "--restarts", "2"]
+    assert main(argv + ["--json"]) == 0
+    row = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["scanned"][0]
+    assert (row["verdict"], row["residual"]) == ("not_found", None)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "dim 2: not found (best residual inf)"
 
 
 def test_tol_on_discover_points_to_fit_tol(tmp_path, capsys):

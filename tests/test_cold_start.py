@@ -1,4 +1,4 @@
-"""``scipy.optimize`` is loaded only when a solver runs.
+"""``scipy.optimize`` is loaded only for the order's LP fallback.
 
 Each check starts a fresh interpreter, since this test process has long
 since imported scipy. The last line a child prints is the verdict.
@@ -15,6 +15,7 @@ import numpy as np
 from mftk import (
     AgentState,
     Povm,
+    ProbabilityTable,
     StochasticMatrix,
     agent_to_obj,
     build_sic,
@@ -28,7 +29,9 @@ from mftk import (
     povm_to_obj,
     proxy_certificate,
     random_povm,
+    random_state,
     save_json,
+    table_to_obj,
     xbasis_povm,
 )
 from mftk.cli import main
@@ -97,6 +100,27 @@ def test_a_ruled_out_discovery_leaves_every_scipy_module_unloaded(contradictory_
                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert json.loads("\n".join(lines[:-1]))["scanned"][0]["verdict"] == "ruled_out"
     assert lines[-1] == "[]"
+
+
+def test_a_polished_discovery_leaves_every_scipy_module_unloaded(tmp_path):
+    # A hidden qutrit model seen through two projective measurements: the
+    # alternating descent hands restart 1 to the terminal polish.
+    rng = np.random.default_rng([91, 2])
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    rotated = Povm.from_matrices(3, [np.outer(u[:, k], u[:, k].conj()) for k in range(3)])
+    states = [random_state(3, seed=[92, 2, m]) for m in range(4)]
+    path = str(tmp_path / "qutrit.json")
+    save_json(path, table_to_obj(ProbabilityTable.from_model(
+        states, [computational_povm(3), rotated])))
+    argv = ["discover", "--table", path, "--dim", "3", "--json"]
+    lines = _fresh("import sys\nimport mftk.sicrep as s\nfrom mftk.cli import main\n"
+                   "polish, calls = s._polish_model, []\n"
+                   "s._polish_model = lambda *args: calls.append(1) or polish(*args)\n"
+                   f"assert main({argv!r}) == 0\nprint(len(calls))\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = json.loads("\n".join(lines[:-2]))
+    assert (out["feasible"], out["restarts_used"]) == (True, 1)
+    assert lines[-2:] == ["1", "[]"]
 
 
 def test_compare_loads_scipy_optimize_with_an_unchanged_verdict(tmp_path, tilted_basis):

@@ -25,11 +25,13 @@ from mftk import (
     urgleichung,
     validate_povm,
 )
-from mftk import opalg
+from mftk import opalg, sicrep
 from mftk.sicrep import (
+    _born,
     _dimension_certificate,
     _polish_jacobian,
     _polish_residuals,
+    _random_model,
     _repair_model,
     _restart_batch,
     _search,
@@ -450,13 +452,14 @@ def _contradictory_table():
 
 # (d, n_prep, trial, max_iters, restarts) -> (restarts_used, residual).
 # restarts_used was recorded when restarts ran one after another; the
-# residuals are those of the polish with the exact Jacobian. Run alone,
-# restart by restart, the first table fits at restarts 2, 4 and 5 of 5 and
-# the second at restarts 4 and 5 of 6, so each has a failure before its
-# first success and a later success that must not win.
+# residuals are those of the Levenberg-Marquardt polish, which stops at the
+# first iterate within tol. Run alone, restart by restart, the first table
+# fits at restarts 2, 4 and 5 of 5 and the second at restarts 4 and 5 of 6,
+# so each has a failure before its first success and a later success that
+# must not win.
 _BATCH_ORDER_PINS = {
-    (3, 4, 7, 8, 5): (2, 1.404432126150823e-13),
-    (2, 3, 2, 3, 6): (4, 4.610201109755963e-13),
+    (3, 4, 7, 8, 5): (2, 9.184547428153778e-10),
+    (2, 3, 2, 3, 6): (4, 7.007037103878844e-07),
 }
 
 
@@ -467,6 +470,7 @@ def test_batched_restarts_answer_with_the_lowest_success(case):
     table = _hidden_model_table(d, n_prep, trial)
     result = discover_system(table, d, max_iters=max_iters, restarts=restarts, seed=trial)
     assert (result.feasible, result.restarts_used, result.residual) == (True, used, residual)
+    assert result.residual <= 1e-6
     # Every restart before the winner fails ...
     before = discover_system(table, d, max_iters=max_iters, restarts=used - 1, seed=trial)
     assert (before.feasible, before.restarts_used) == (False, used - 1)
@@ -496,6 +500,99 @@ def test_each_restart_in_a_batch_runs_as_it_would_alone(make_table):
         assert a[0] > 1e-6 and a[0] == pytest.approx(b[0], rel=0, abs=1e-12)
         for rho_a, rho_b in zip(a[1], b[1]):
             np.testing.assert_allclose(rho_a.matrix, rho_b.matrix, rtol=0, atol=1e-12)
+
+
+def _polish_start(monkeypatch):
+    # The arguments of the one polish a hidden qutrit table reaches at the
+    # discovery defaults, tol last.
+    starts = []
+    polish = sicrep._polish_model
+    monkeypatch.setattr(sicrep, "_polish_model", lambda *args: starts.append(args) or polish(*args))
+    assert discover_system(_hidden_model_table(3, 4, 1), 3, seed=1).feasible
+    monkeypatch.undo()
+    assert len(starts) == 1 and starts[0][-1] == 1e-6
+    return starts[0]
+
+
+def _table_miss(d, states, effect_sets, q_arrays):
+    return max(np.max(np.abs(_born(e, states) - q)) for e, q in zip(effect_sets, q_arrays))
+
+
+def test_polish_stops_at_the_first_evaluation_within_tol(monkeypatch):
+    # Within tol less the 64-ulp margin left for the rounding in repair.
+    d, states, effect_sets, q_arrays, tol = _polish_start(monkeypatch)
+    misses = []
+
+    def recording(x, *args):
+        r = _polish_residuals(x, *args)
+        misses.append(np.max(np.abs(r)))
+        return r
+
+    monkeypatch.setattr(sicrep, "_polish_residuals", recording)
+    out = sicrep._polish_model(d, states, effect_sets, q_arrays, tol)
+    stop = tol - 64 * np.finfo(float).eps
+    assert len(misses) > 2 and misses[-1] <= stop < min(misses[:-1])
+    assert _table_miss(d, *out, q_arrays) == pytest.approx(misses[-1], rel=0, abs=1e-15)
+
+
+def test_a_polish_ending_just_under_tol_still_fits_after_repair(monkeypatch):
+    # With tol set to the miss of one of the polish's own iterates, a stop
+    # at the first iterate within tol would land exactly on tol. Without
+    # the 64-ulp margin, rounding in _repair_model pushed 2 of these 3 over.
+    d, states, effect_sets, q_arrays, _ = _polish_start(monkeypatch)
+    table = _hidden_model_table(3, 4, 1)
+    misses = []
+
+    def jacobian(x, *args):
+        misses.append(np.max(np.abs(_polish_residuals(x, *args))))
+        return _polish_jacobian(x, *args)
+
+    monkeypatch.setattr(sicrep, "_polish_jacobian", jacobian)
+    sicrep._polish_model(d, states, effect_sets, q_arrays, 1e-15)
+    monkeypatch.undo()
+    tols = [m for m in misses if m > 1e-11]  # above the polish's own floor
+    assert len(tols) >= 3
+    for tol in tols:
+        out = sicrep._polish_model(d, states, effect_sets, q_arrays, tol)
+        assert _repair_model(table, d, *out)[0] <= tol
+
+
+def test_polish_with_a_tiny_tol_still_converges(monkeypatch):
+    d, states, effect_sets, q_arrays, _ = _polish_start(monkeypatch)
+    out = sicrep._polish_model(d, states, effect_sets, q_arrays, 1e-15)
+    assert _table_miss(d, *out, q_arrays) < 1e-11
+
+
+def test_polish_cost_never_rises_between_accepted_iterates(monkeypatch):
+    # A qubit fit of a qutrit table from a random start rejects some steps.
+    # The Jacobian is taken once at every accepted iterate.
+    q_arrays = _hidden_model_table(3, 4, 0).as_arrays()
+    states, effect_sets = _random_model(2, 4, (3, 3), np.random.default_rng([5, 1]))
+    tried, accepted = [], []
+
+    def residuals(x, *args):
+        r = _polish_residuals(x, *args)
+        tried.append(r @ r / 2)
+        return r
+
+    def jacobian(x, *args):
+        r = _polish_residuals(x, *args)
+        accepted.append(r @ r / 2)
+        return _polish_jacobian(x, *args)
+
+    monkeypatch.setattr(sicrep, "_polish_residuals", residuals)
+    monkeypatch.setattr(sicrep, "_polish_jacobian", jacobian)
+    sicrep._polish_model(2, states, effect_sets, q_arrays, 1e-15)
+    assert np.any(np.diff(tried) > 0)
+    assert len(accepted) > 5 and np.all(np.diff(accepted) <= 0)
+
+
+def test_levenberg_marquardt_returns_a_start_that_already_fits():
+    def jacobian(x):
+        raise AssertionError("a start within tol needs no step")
+
+    x = np.array([0.5, -2.0, 3.0])
+    assert sicrep._levenberg_marquardt(lambda z: z - x + 1e-7, jacobian, x, 1e-6) is x
 
 
 def test_discovery_loop_skips_validation(monkeypatch):
