@@ -292,7 +292,7 @@ def _cmd_discover(args) -> int:
             raise SchemaError("--scan-dim", "range must start at 1 or above")
     elif args.dim is not None:
         dims = [args.dim]
-    elif dim_hint:
+    elif dim_hint is not None:
         dims = [dim_hint]
     else:
         raise SchemaError("arguments", "need --dim, --scan-dim, or a dim_hint in the table")

@@ -287,8 +287,8 @@ def table_from_obj(obj, path: str = "table") -> tuple[ProbabilityTable, int | No
         path,
     )
     dim_hint = obj.get("dim_hint")
-    if dim_hint is not None:
-        _integer(dim_hint, f"{path}.dim_hint")
+    if dim_hint is not None and _integer(dim_hint, f"{path}.dim_hint") < 1:
+        raise SchemaError(f"{path}.dim_hint", "dimension must be >= 1")
     return table, dim_hint
 
 

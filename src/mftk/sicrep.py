@@ -389,50 +389,52 @@ def _model_residual(table, states, povms):
                for z, q in zip(povms, table.as_arrays()))
 
 
-def _polish_factors(xs, d, n_prep):
-    """Polish parameter vectors, shape (..., P), each the real and imaginary
-    parts of one d x d factor G per matrix, as (..., N, d, d) factors G and
-    Grams G G^dag, plus the first n_prep Grams' traces (floored at 1e-300)
-    and states G G^dag / tr."""
+def _polish_unpack(xs, d, n_prep, counts, memo=None):
+    """Models at a batch of polish parameter vectors, shape (..., P), each
+    the real and imaginary parts of one d x d factor G per matrix.
+
+    Returns the (..., N, d, d) factors G, the first n_prep Grams' traces t
+    (floored at 1e-300), the states G G^dag / t and, per measurement, its
+    Gram blocks A_j = G_j G_j^dag, S^{-1/2} with the eigenvalues and
+    eigenvectors of S = sum_j A_j, and the effects S^{-1/2} A_j S^{-1/2}.
+    A ``memo`` dict keeps the last result, because the polish takes each
+    Jacobian where it last evaluated the residuals.
+    """
+    key = (xs.shape, xs.tobytes())
+    if memo is not None and memo.get("key") == key:
+        return memo["value"]
     half = xs.reshape(*xs.shape[:-1], -1, 2, d, d)
     gs = half[..., 0, :, :] + 1j * half[..., 1, :, :]
     grams = gs @ opalg.dagger(gs)
-    rhos = grams[..., :n_prep, :, :]
-    traces = np.clip(np.trace(rhos, axis1=-2, axis2=-1).real, 1e-300, None)
-    return gs, grams, traces, rhos / traces[..., None, None]
-
-
-def _polish_unpack(xs, d, n_prep, counts):
-    """Models at a batch of polish parameter vectors, shape (..., P).
-
-    Returns the (..., n_prep, d, d) states of ``_polish_factors`` and, per
-    measurement, the (..., n_k, d, d) effects S^{-1/2} G G^dag S^{-1/2},
-    where S is the sum of the measurement's Gram blocks.
-    """
-    _, grams, _, states = _polish_factors(xs, d, n_prep)
-    effect_sets = []
-    at = n_prep
+    traces = np.clip(np.trace(grams[..., :n_prep, :, :], axis1=-2, axis2=-1).real, 1e-300, None)
+    measurements, at = [], n_prep
     for n in counts:
-        effect_sets.append(opalg.normalize_effects(grams[..., at:at + n, :, :])[0])
+        a = grams[..., at:at + n, :, :]
+        t, w, u = opalg._sum_inverse_root(a)
+        root = t[..., None, :, :]
+        measurements.append((a, t, w, u, opalg.hermitize(root @ a @ root)))
         at += n
-    return states, effect_sets
+    value = gs, traces, grams[..., :n_prep, :, :] / traces[..., None, None], measurements
+    if memo is not None:
+        memo.update(key=key, value=value)
+    return value
 
 
-def _polish_residuals(xs, d, n_prep, counts, q_arrays):
+def _polish_residuals(xs, d, n_prep, counts, q_arrays, memo=None):
     """Predicted minus tabulated probabilities at a batch of parameter
     vectors: shape (..., R), measurement by measurement, each row-major
     over (preparation, outcome)."""
-    states, effect_sets = _polish_unpack(xs, d, n_prep, counts)
+    _, _, states, measurements = _polish_unpack(xs, d, n_prep, counts, memo)
     s = states.reshape(*states.shape[:-2], d * d).conj()
     parts = []
-    for effects, q in zip(effect_sets, q_arrays):
+    for (*_, effects), q in zip(measurements, q_arrays):
         e = effects.reshape(*effects.shape[:-2], d * d)
         probs = (s @ np.swapaxes(e, -1, -2)).real
         parts.append((probs - q).reshape(*xs.shape[:-1], -1))
     return np.concatenate(parts, axis=-1)
 
 
-def _polish_jacobian(x, d, n_prep, counts, q_arrays):
+def _polish_jacobian(x, d, n_prep, counts, q_arrays, memo=None):
     """Exact Jacobian of ``_polish_residuals`` at one parameter vector x, shape (R, P).
 
     Residual r_mo = Tr(rho_m E_o) - q_mo of a measurement depends only on
@@ -448,15 +450,12 @@ def _polish_jacobian(x, d, n_prep, counts, q_arrays):
       case for equal eigenvalues.
     Each measurement's rows are filled in one pass over its stacks.
     """
-    gs, grams, traces, rhos = _polish_factors(x, d, n_prep)
+    gs, traces, rhos, measurements = _polish_unpack(x, d, n_prep, counts, memo)
     g_states = gs[:n_prep, None]
     jac = np.zeros((n_prep * sum(counts), len(gs), 2, d, d))
     prep = np.arange(n_prep)
     row, at = 0, n_prep
-    for n in counts:
-        a = grams[at:at + n]
-        t, w, u = opalg._sum_inverse_root(a)
-        effects = opalg.hermitize(t @ a @ t)
+    for n, (a, t, w, u, effects) in zip(counts, measurements):
         probs = _born(effects, rhos)
         d_states = 2 * (effects @ g_states - probs[..., None, None] * g_states)
         d_states /= traces[:, None, None, None]
@@ -475,7 +474,7 @@ def _polish_jacobian(x, d, n_prep, counts, q_arrays):
     return jac.reshape(row, -1)
 
 
-def _levenberg_marquardt(residuals, jacobian, x, tol):
+def _levenberg_marquardt(residuals, jacobian, x, tol, max_nfev=3000):
     """Minimize ||r(x)||^2 / 2 from x by Levenberg-Marquardt steps with
     Nielsen's damping update (Marquardt, J. SIAM 11, 431 (1963); H. B.
     Nielsen, IMM-REP-1999-05, DTU (1999)); returns the last accepted x.
@@ -484,12 +483,12 @@ def _levenberg_marquardt(residuals, jacobian, x, tol):
     step is -J^T (J J^T + mu I)^{-1} r, for mu > 0 the damped Gauss-Newton
     step -(J^T J + mu I)^{-1} J^T r, solved in R unknowns. Stops at the
     first x with max |r| <= tol, a cost decrease below 1e-14 of the cost, a
-    step below 1e-14 (1e-14 + ||x||), max |J^T r| < 1e-12, or 3000
+    step below 1e-14 (1e-14 + ||x||), max |J^T r| < 1e-12, or ``max_nfev``
     evaluations of r.
     """
     r = residuals(x)
     cost, nfev, mu, nu = r @ r / 2, 1, None, 2.0
-    while np.max(np.abs(r)) > tol and nfev < 3000:
+    while np.max(np.abs(r)) > tol and nfev < max_nfev:
         jac = jacobian(x)
         g = jac.T @ r
         if np.max(np.abs(g)) < 1e-12:
@@ -497,7 +496,7 @@ def _levenberg_marquardt(residuals, jacobian, x, tol):
         gram = jac @ jac.T
         if mu is None:
             mu = 1e-3 * np.max(np.sum(jac * jac, axis=0))
-        while nfev < 3000:
+        while nfev < max_nfev:
             damped = gram + mu * np.eye(len(gram))
             h = -jac.T @ np.linalg.solve(damped, r)
             if np.linalg.norm(h) < 1e-14 * (1e-14 + np.linalg.norm(x)):
@@ -517,7 +516,7 @@ def _levenberg_marquardt(residuals, jacobian, x, tol):
     return x
 
 
-def _polish_model(d, states, effect_sets, q_arrays, tol):
+def _polish_model(d, states, effect_sets, q_arrays, tol, max_nfev=3000):
     """Local least-squares refinement of a near-feasible iterate.
 
     The alternating stage slows to a crawl when the solution sits on the
@@ -527,20 +526,24 @@ def _polish_model(d, states, effect_sets, q_arrays, tol):
     Gram blocks. On that parametrization the residuals are smooth, and
     ``_levenberg_marquardt`` on the exact ``_polish_jacobian`` converges
     locally fast. It stops at the first iterate within ``tol`` less 64 ulps
-    of 1, so that rounding in ``_repair_model`` keeps it within ``tol``.
-    Takes and returns an (n_prep, d, d) state stack and one (n_k, d, d)
-    stack per measurement.
+    of 1, so that rounding in ``_repair_model`` keeps it within ``tol``, or
+    after ``max_nfev`` residual evaluations. Takes and returns an (n_prep,
+    d, d) state stack and one (n_k, d, d) stack per measurement.
     """
     n_prep = len(states)
     counts = tuple(len(effects) for effects in effect_sets)
     w, v = np.linalg.eigh(opalg.hermitize(np.concatenate([states, *effect_sets])))
     factors = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    args = (d, n_prep, counts, q_arrays)
+    args = (d, n_prep, counts, q_arrays, {})  # {}: the memo of _polish_unpack
     x = np.stack([factors.real, factors.imag], axis=1).ravel()
     x = _levenberg_marquardt(lambda x: _polish_residuals(x, *args),
-                             lambda x: _polish_jacobian(x, *args), x, tol - 64 * np.finfo(float).eps)
-    out_states, out_effects = _polish_unpack(x, d, n_prep, counts)
-    return opalg.hermitize(out_states), out_effects
+                             lambda x: _polish_jacobian(x, *args), x,
+                             tol - 64 * np.finfo(float).eps, max_nfev)
+    _, _, out_states, measurements = _polish_unpack(x, d, n_prep, counts)
+    return opalg.hermitize(out_states), [effects for *_, effects in measurements]
+
+
+_EARLY_NFEV = 30  # early-polish evaluations: fits took at most 28 on random tables
 
 
 def _restart_batch(table, basis, restarts, max_iters, tol, seed):
@@ -552,11 +555,16 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
     outcome count n form one (b, K, n, d^2) array, so each step is taken by
     all restarts and all such measurements at once. Every slot keeps its own
     line-search masks, objective history, stall counter and hand-over, and
-    leaves the batch where a run of its own would have stopped; once a slot
-    has fit the table inside the loop, every later slot leaves too. Yields
-    (restart, repaired model or None) in restart order, ending at the first
-    repaired model that fits within ``tol``.
+    leaves the batch where a run of its own would have stopped. At its first
+    iterate within ``handover_radius`` of the table, a slot that stays in
+    the loop also has its model polished on a copy for at most
+    ``_EARLY_NFEV`` evaluations and repaired; a failed attempt leaves the
+    slot as it was. Once a slot has fit the table inside the loop, by repair
+    alone or by that attempt, every later slot leaves too. Yields (restart,
+    repaired model or None) in restart order, ending at the first repaired
+    model that fits within ``tol``.
     """
+    handover_radius = 1e-2  # worst table miss from which the polish converges
     b = len(restarts)
     if b == 0:
         return
@@ -584,6 +592,7 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
     prev_obj = np.full(b, np.inf)
     raw_worst = np.full(b, np.inf)
     stall = np.zeros(b, dtype=int)
+    tried = np.zeros(b, dtype=bool)  # slots that had their early polish
     fitted = None  # (slot, model) of the lowest restart that fit inside the loop
     for it in range(max_iters):
         # Fit all states against fixed effects. Rows of e are effect
@@ -628,15 +637,22 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
         raw_worst[live] = worst[live]
 
         check = live & (worst < tol) & ((it % 5 == 0) | (prev_obj - obj < 1e-14))
-        for i in np.flatnonzero(check):
-            found = _repair_model(table, d, *model_at(i))
+        handover = (worst < handover_radius) & (it >= 25)  # to the terminal refinement below
+        stall = np.where(prev_obj - obj < 1e-14 + 1e-9 * obj, stall + 1, 0)
+        # A slot leaving now skips the early polish: its terminal one starts here.
+        stays = ~handover & (stall < 10) & (it + 1 < max_iters)
+        early = live & ~tried & (worst < handover_radius) & stays
+        tried |= early
+        for i in np.flatnonzero(check | early):
+            found = _repair_model(table, d, *model_at(i)) if check[i] else None
+            if early[i] and (found is None or found[0] > tol):
+                polished = _polish_model(d, *model_at(i), q_arrays, tol, _EARLY_NFEV)
+                found = _repair_model(table, d, *polished)
             if found is not None and found[0] <= tol:
                 fitted = (i, found)
                 live[i:] = False
                 break
-        handover = (worst < 1e-2) & (it >= 25)  # to the terminal refinement below
-        stall = np.where(prev_obj - obj < 1e-14 + 1e-9 * obj, stall + 1, 0)
-        live &= ~handover & (stall < 10)
+        live &= stays
         prev_obj = obj
         if not live.any():
             break
@@ -646,7 +662,7 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
             yield restart, fitted[1]
             return
         states, effect_sets = model_at(i)
-        if raw_worst[i] < 1e-2:
+        if raw_worst[i] < handover_radius:
             # Close enough that terminal refinement is worth the call.
             states, effect_sets = _polish_model(d, states, effect_sets, q_arrays, tol)
         yield restart, _repair_model(table, d, states, effect_sets)
@@ -738,9 +754,12 @@ def discover_system(
     one (n_k, d^2) array per measurement. States are projected back to the
     PSD unit-trace set by eigenvalue clipping and trace renormalization;
     effects by PSD clipping followed by spreading the completeness excess
-    evenly. Iterates that come within 1e-2 of the table are finished by
-    ``_polish_model``, a Levenberg-Marquardt run that stops at the first
-    iterate within ``tol``. Restart 1 runs alone; if it fails, restarts
+    evenly. A restart's first iterate within 1e-2 of the table is polished
+    by ``_polish_model``, a Levenberg-Marquardt run that stops at the first
+    iterate within ``tol``, here after at most 30 evaluations; if the
+    repaired result fits, the restart is done. Otherwise the descent goes on
+    unchanged, and its last iterate, if within 1e-2, is polished without
+    that budget. Restart 1 runs alone; if it fails, restarts
     2..``restarts`` run as one batch (``_restart_batch``), and the answer is
     still the lowest-numbered restart that succeeds, so ``restarts_used``
     and the best residual mean what a one-by-one run would give.

@@ -489,6 +489,15 @@ def test_discover_nonpositive_dim_is_an_error(tmp_path, capsys, value):
     assert _json_out(capsys) == {"error": "dimension must be >= 1"}
 
 
+@pytest.mark.parametrize("hint", [0, -1])
+def test_discover_nonpositive_dim_hint_is_named(tmp_path, capsys, hint):
+    # A hint of 0 is a hint, not a missing one: the error names the field.
+    table = ProbabilityTable.from_model([basis_state(2, 0)], [computational_povm(2)])
+    table_file = _write(tmp_path, "table.json", table_to_obj(table, dim_hint=hint))
+    assert main(["discover", "--table", table_file, "--json"]) == 2
+    assert _json_out(capsys) == {"error": "table.dim_hint: dimension must be >= 1"}
+
+
 def test_discover_reversed_scan_range_is_reported_as_empty(tmp_path, capsys):
     table_file = _hinted_qubit_table(tmp_path)
     assert main(["discover", "--table", table_file, "--scan-dim", "3..1", "--json"]) == 2

@@ -105,6 +105,14 @@ def test_table_round_trip_keeps_dim_hint():
     assert no_hint is None
 
 
+@pytest.mark.parametrize("hint", [0, -1])
+def test_table_rejects_a_dim_hint_below_one(hint):
+    table = ProbabilityTable.from_model([random_state(2, seed=82)], [computational_povm(2)])
+    with pytest.raises(SchemaError, match=r"^table\.dim_hint: dimension must be >= 1$") as err:
+        table_from_obj(table_to_obj(table, dim_hint=hint))
+    assert err.value.path == "table.dim_hint"
+
+
 def test_dilation_round_trip():
     spec = naimark_construct(random_povm(2, 3, seed=83))
     back = dilation_from_obj(dilation_to_obj(spec))
