@@ -554,8 +554,9 @@ def build_parser() -> _Parser:
     p = command(sub, "discover", _cmd_discover, [_TOL, _SEED],
                 help="fit a quantum model to a probability table")
     p.add_argument("--table", required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--scan-dim", help="try each dimension in MIN..MAX")
+    dims = p.add_mutually_exclusive_group()
+    dims.add_argument("--dim", type=int)
+    dims.add_argument("--scan-dim", help="try each dimension in MIN..MAX")
     p.add_argument("--fit-tol", type=float, default=FIT_TOL)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--restarts", type=int, default=20)
@@ -589,7 +590,7 @@ def main(argv=None) -> int:
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             parser.error(f"--{name.replace('_', '-')} must be positive and finite")
-    for name, low in (("restarts", 1), ("max_iters", 1), ("n_states", 0)):
+    for name, low in (("restarts", 1), ("max_iters", 1), ("n_states", 0), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             parser.error(f"--{name.replace('_', '-')} must be at least {low}")

@@ -28,22 +28,10 @@ from .sicrep import ProbabilityTable, SicPovm, SicProbVector
 
 # ---------------------------------------------------------------- scalars
 
-def complex_to_obj(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_to_obj(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_obj(v) for v in row] for row in m]
-
-
-def real_matrix_to_obj(m) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
-
-
-def vector_to_obj(v) -> list:
-    return [complex_to_obj(x) for x in np.asarray(v, dtype=complex).reshape(-1)]
+def _complex_to_obj(a) -> list:
+    """A complex vector or matrix, nested as the array is, each entry [re, im]."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _is_number(x) -> bool:
@@ -132,7 +120,7 @@ def povm_to_obj(p: Povm) -> dict:
     return {
         "dim": p.dim,
         "labels": list(p.labels),
-        "effects": [matrix_to_obj(e.matrix) for e in p.effects],
+        "effects": [_complex_to_obj(e.matrix) for e in p.effects],
     }
 
 
@@ -149,7 +137,7 @@ def povm_from_obj(obj, path: str = "povm") -> Povm:
 
 
 def state_to_obj(rho: DensityMatrix) -> dict:
-    return {"dim": rho.dim, "matrix": matrix_to_obj(rho.matrix)}
+    return {"dim": rho.dim, "matrix": _complex_to_obj(rho.matrix)}
 
 
 def state_from_obj(obj, path: str = "state") -> DensityMatrix:
@@ -162,7 +150,7 @@ def channel_to_obj(phi: QuantumChannel) -> dict:
     return {
         "dim_in": phi.dim_in,
         "dim_out": phi.dim_out,
-        "kraus": [matrix_to_obj(k) for k in phi.kraus],
+        "kraus": [_complex_to_obj(k) for k in phi.kraus],
     }
 
 
@@ -175,7 +163,7 @@ def channel_from_obj(obj, path: str = "channel") -> QuantumChannel:
 
 
 def stochastic_to_obj(s: StochasticMatrix) -> dict:
-    return {"n_in": s.n_in, "n_out": s.n_out, "entries": real_matrix_to_obj(s.entries)}
+    return {"n_in": s.n_in, "n_out": s.n_out, "entries": s.entries.tolist()}
 
 
 def stochastic_from_obj(obj, path: str = "stochastic") -> StochasticMatrix:
@@ -187,14 +175,14 @@ def stochastic_from_obj(obj, path: str = "stochastic") -> StochasticMatrix:
 
 
 def distribution_to_obj(q: OutcomeDistribution) -> dict:
-    return {"labels": list(q.labels), "probs": [float(v) for v in q.probs]}
+    return {"labels": list(q.labels), "probs": q.probs.tolist()}
 
 
 # ----------------------------------------------------------------- sicrep
 
 def sic_to_obj(sic: SicPovm) -> dict:
     out = povm_to_obj(sic.povm)
-    out["fiducials"] = [vector_to_obj(v) for v in sic.fiducial_states]
+    out["fiducials"] = [_complex_to_obj(v) for v in sic.fiducial_states]
     return out
 
 
@@ -208,7 +196,7 @@ def sic_from_obj(obj, path: str = "sic") -> SicPovm:
 
 
 def sic_probs_to_obj(p: SicProbVector) -> dict:
-    return {"dim": p.dim, "probs": [float(v) for v in p.probs]}
+    return {"dim": p.dim, "probs": p.probs.tolist()}
 
 
 def sic_probs_from_obj(obj, path: str = "probs") -> tuple[np.ndarray, int]:
@@ -234,9 +222,7 @@ def table_to_obj(table: ProbabilityTable, dim_hint: int | None = None) -> dict:
             {"label": label, "n_outcomes": len(row[0])}
             for label, row in zip(table.measurement_labels, table.distributions)
         ],
-        "q": [
-            [[float(v) for v in q.probs] for q in row] for row in table.distributions
-        ],
+        "q": [[q.probs.tolist() for q in row] for row in table.distributions],
     }
     if dim_hint is not None:
         out["dim_hint"] = dim_hint
@@ -394,9 +380,9 @@ def decision_from_obj(obj, path: str = "decision"):
 
 def decision_to_obj(prior: OutcomeDistribution, utility, channels) -> dict:
     return {
-        "prior": [float(v) for v in prior.probs],
-        "utility": real_matrix_to_obj(utility),
-        "channels": {name: real_matrix_to_obj(s.entries) for name, s in channels.items()},
+        "prior": prior.probs.tolist(),
+        "utility": np.asarray(utility, dtype=float).tolist(),
+        "channels": {name: s.entries.tolist() for name, s in channels.items()},
     }
 
 

@@ -278,9 +278,6 @@ class ProbabilityTable:
     def n_measurements(self) -> int:
         return len(self.measurement_labels)
 
-    def outcome_counts(self) -> tuple[int, ...]:
-        return tuple(len(row[0]) for row in self.distributions)
-
     def as_arrays(self) -> list[np.ndarray]:
         """Per measurement, the (n_preparations, n_outcomes) matrix of q values."""
         return [np.stack([q.probs for q in row]) for row in self.distributions]
@@ -359,7 +356,7 @@ def _project_effects(effects):
     return opalg._psd_clip(effects - excess[..., None, :, :])
 
 
-def _repair_model(table, d, states, effect_sets):
+def _repair_model(q_arrays, d, states, effect_sets):
     """Round a raw iterate to an exactly valid model.
 
     Returns (table residual, states, povms), or None when the iterate
@@ -378,15 +375,15 @@ def _repair_model(table, d, states, effect_sets):
         if not validate_povm(povm).ok:
             return None
         povms.append(povm)
-    return _model_residual(table, fixed_states, povms), fixed_states, tuple(povms)
+    return _model_residual(q_arrays, fixed_states, povms), fixed_states, tuple(povms)
 
 
-def _model_residual(table, states, povms):
+def _model_residual(q_arrays, states, povms):
     """Worst |Tr(rho_m E_o) - q_mo| over the table: one Born product per
     measurement over the whole state stack."""
     rhos = np.stack([rho.matrix for rho in states])
     return max(float(np.max(np.abs(_born(z.matrices(), rhos) - q)))
-               for z, q in zip(povms, table.as_arrays()))
+               for z, q in zip(povms, q_arrays))
 
 
 def _polish_unpack(xs, d, n_prep, counts, memo=None):
@@ -546,7 +543,7 @@ def _polish_model(d, states, effect_sets, q_arrays, tol, max_nfev=3000):
 _EARLY_NFEV = 30  # early-polish evaluations: fits took at most 28 on random tables
 
 
-def _restart_batch(table, basis, restarts, max_iters, tol, seed):
+def _restart_batch(q_arrays, basis, restarts, max_iters, tol, seed):
     """Run the alternating descent of ``discover_system`` from the random
     starts of ``restarts`` (ascending restart indices) as one batch.
 
@@ -555,23 +552,26 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
     outcome count n form one (b, K, n, d^2) array, so each step is taken by
     all restarts and all such measurements at once. Every slot keeps its own
     line-search masks, objective history, stall counter and hand-over, and
-    leaves the batch where a run of its own would have stopped. At its first
-    iterate within ``handover_radius`` of the table, a slot that stays in
-    the loop also has its model polished on a copy for at most
-    ``_EARLY_NFEV`` evaluations and repaired; a failed attempt leaves the
-    slot as it was. Once a slot has fit the table inside the loop, by repair
-    alone or by that attempt, every later slot leaves too. Yields (restart,
-    repaired model or None) in restart order, ending at the first repaired
-    model that fits within ``tol``.
+    leaves the batch where a run of its own would have stopped.
+
+    A slot is decided, in one step, at two moments of its loop:
+    - at its first iterate within ``handover_radius`` of the table, if it
+      stays in the loop: its model is polished on a copy for at most
+      ``_EARLY_NFEV`` evaluations and repaired; a miss leaves the slot as
+      it was;
+    - in the iteration it leaves (hand-over, stall or the last iteration):
+      its model is polished without that budget if within
+      ``handover_radius``, and repaired.
+    A fit ends every later slot too. Yields (restart, repaired model or
+    None) in restart order, ending at the first that fits within ``tol``.
     """
     handover_radius = 1e-2  # worst table miss from which the polish converges
     b = len(restarts)
     if b == 0:
         return
     d = basis.dim
-    n_prep = table.n_preparations
-    counts = table.outcome_counts()
-    q_arrays = table.as_arrays()
+    n_prep = len(q_arrays[0])
+    counts = tuple(q.shape[1] for q in q_arrays)
     q_rows = np.hstack(q_arrays)  # row m: every table entry of preparation m
     sizes = list(dict.fromkeys(counts))
     groups = [[k for k, n in enumerate(counts) if n == size] for size in sizes]
@@ -590,10 +590,9 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
 
     live = np.ones(b, dtype=bool)
     prev_obj = np.full(b, np.inf)
-    raw_worst = np.full(b, np.inf)
     stall = np.zeros(b, dtype=int)
     tried = np.zeros(b, dtype=bool)  # slots that had their early polish
-    fitted = None  # (slot, model) of the lowest restart that fit inside the loop
+    results = [None] * b  # each slot's repaired model, once decided
     for it in range(max_iters):
         # Fit all states against fixed effects. Rows of e are effect
         # coordinates, so x @ e^T are the predicted probabilities. A state
@@ -634,22 +633,20 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
         squares = [np.sum(r * r, axis=(-2, -1)) for r in resids]
         obj = sum(squares[g][:, j] for g, j in where)  # summed in measurement order
         worst = np.max([np.max(np.abs(r), axis=(-3, -2, -1)) for r in resids], axis=0)
-        raw_worst[live] = worst[live]
 
-        check = live & (worst < tol) & ((it % 5 == 0) | (prev_obj - obj < 1e-14))
-        handover = (worst < handover_radius) & (it >= 25)  # to the terminal refinement below
+        handover = (worst < handover_radius) & (it >= 25)  # to the full polish below
         stall = np.where(prev_obj - obj < 1e-14 + 1e-9 * obj, stall + 1, 0)
-        # A slot leaving now skips the early polish: its terminal one starts here.
         stays = ~handover & (stall < 10) & (it + 1 < max_iters)
         early = live & ~tried & (worst < handover_radius) & stays
         tried |= early
-        for i in np.flatnonzero(check | early):
-            found = _repair_model(table, d, *model_at(i)) if check[i] else None
-            if early[i] and (found is None or found[0] > tol):
-                polished = _polish_model(d, *model_at(i), q_arrays, tol, _EARLY_NFEV)
-                found = _repair_model(table, d, *polished)
+        for i in np.flatnonzero(early | (live & ~stays)):
+            model = model_at(i)
+            if worst[i] < handover_radius:
+                budget = (_EARLY_NFEV,) if early[i] else ()
+                model = _polish_model(d, *model, q_arrays, tol, *budget)
+            found = _repair_model(q_arrays, d, *model)
+            results[i] = found  # a miss of the early polish is decided again on leaving
             if found is not None and found[0] <= tol:
-                fitted = (i, found)
                 live[i:] = False
                 break
         live &= stays
@@ -657,15 +654,10 @@ def _restart_batch(table, basis, restarts, max_iters, tol, seed):
         if not live.any():
             break
 
-    for i, restart in enumerate(restarts):
-        if fitted is not None and fitted[0] == i:
-            yield restart, fitted[1]
+    for restart, found in zip(restarts, results):
+        yield restart, found
+        if found is not None and found[0] <= tol:
             return
-        states, effect_sets = model_at(i)
-        if raw_worst[i] < handover_radius:
-            # Close enough that terminal refinement is worth the call.
-            states, effect_sets = _polish_model(d, states, effect_sets, q_arrays, tol)
-        yield restart, _repair_model(table, d, states, effect_sets)
 
 
 def _dimension_certificate(q_arrays, d, tol):
@@ -754,15 +746,16 @@ def discover_system(
     one (n_k, d^2) array per measurement. States are projected back to the
     PSD unit-trace set by eigenvalue clipping and trace renormalization;
     effects by PSD clipping followed by spreading the completeness excess
-    evenly. A restart's first iterate within 1e-2 of the table is polished
-    by ``_polish_model``, a Levenberg-Marquardt run that stops at the first
-    iterate within ``tol``, here after at most 30 evaluations; if the
-    repaired result fits, the restart is done. Otherwise the descent goes on
-    unchanged, and its last iterate, if within 1e-2, is polished without
-    that budget. Restart 1 runs alone; if it fails, restarts
-    2..``restarts`` run as one batch (``_restart_batch``), and the answer is
-    still the lowest-numbered restart that succeeds, so ``restarts_used``
-    and the best residual mean what a one-by-one run would give.
+    evenly. A restart is decided at two moments, each by a polish with
+    ``_polish_model`` (a Levenberg-Marquardt run that stops at the first
+    iterate within ``tol``) and a repair: at its first iterate within 1e-2
+    of the table, with the polish capped at 30 evaluations, where a miss
+    leaves the descent unchanged; and at the iterate where the descent
+    stops, with a full polish if within 1e-2. Restart 1 runs alone; if it
+    fails, restarts 2..``restarts`` run as one batch (``_restart_batch``),
+    and the answer is still the lowest-numbered restart that succeeds, so
+    ``restarts_used`` and the best residual mean what a one-by-one run
+    would give.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -773,18 +766,19 @@ def discover_system(
         raise ValueError("probability table has no measurements")
     if table.n_preparations == 0:
         raise ValueError("probability table has no preparations")
-    certificate = _dimension_certificate(table.as_arrays(), d, tol)
+    q_arrays = table.as_arrays()
+    certificate = _dimension_certificate(q_arrays, d, tol)
     if certificate is not None:
         return DiscoveryResult(False, (), (), np.inf, 0, certificate)
-    return _search(table, d, max_iters, tol, restarts, seed)
+    return _search(q_arrays, d, max_iters, tol, restarts, seed)
 
 
-def _search(table, d, max_iters, tol, restarts, seed) -> DiscoveryResult:
+def _search(q_arrays, d, max_iters, tol, restarts, seed) -> DiscoveryResult:
     """The restarts of ``discover_system``: "found" or "not_found"."""
     basis = opalg.hermitian_basis(d)
     best = None  # (residual, states, povms)
     for batch in (range(1), range(1, restarts)):
-        for restart, found in _restart_batch(table, basis, batch, max_iters, tol, seed):
+        for restart, found in _restart_batch(q_arrays, basis, batch, max_iters, tol, seed):
             if found is None:
                 continue
             if found[0] <= tol:

@@ -731,6 +731,34 @@ def test_negative_n_states_is_a_usage_error(tmp_path, capsys):
     assert out["vacuous"] and out["n_states"] == 0
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # numpy's own refusal names no flag and exited 2 as a failed check.
+    z = computational_povm(2)
+    spec_file = _write(tmp_path, "spec.json", dilation_to_obj(naimark_construct(z)))
+    target = _write(tmp_path, "z.json", povm_to_obj(z))
+    for argv in (["dilate", "probcheck", "--spec", spec_file, "--target", target],
+                 ["discover", "--table", _hinted_qubit_table(tmp_path)]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--seed", "-1", "--json"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed must be at least 0" in captured.err
+        assert main(argv + ["--seed", "0", "--json"]) == 0
+        capsys.readouterr()
+
+
+def test_discover_dim_and_scan_dim_together_are_a_usage_error(tmp_path, capsys):
+    # --dim was silently dropped in favour of the scan.
+    table_file = _hinted_qubit_table(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["discover", "--table", table_file, "--dim", "5", "--scan-dim", "1..2", "--json"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_out_is_reported_in_human_output(tmp_path, capsys):
     out = str(tmp_path / "out.json")
     assert main(["sic", "state", "--probs", "0.25,0.25,0.25,0.25", "--dim", "2",

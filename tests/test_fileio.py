@@ -8,6 +8,7 @@ from mftk import (
     DensityMatrix,
     ExternalSystem,
     OutcomeDistribution,
+    Povm,
     ProbabilityTable,
     QuantumChannel,
     StochasticMatrix,
@@ -308,6 +309,38 @@ def test_dump_json_is_deterministic():
     assert text == dump_json(povm_to_obj(p))
     assert text.endswith("\n")
     assert list(json.loads(text)) == sorted(json.loads(text))
+
+
+def _pairs(m):
+    # The per-entry encoding: each complex entry as [float(re), float(im)].
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def test_array_writers_match_a_per_entry_encoding():
+    rng = np.random.default_rng(23)
+    signed_zero = Povm.from_matrices(2, [np.array([[1, -0.0], [complex(0.0, -0.0), 0]]),
+                                         np.array([[-0.0, 0], [0, 1]])])
+    povms = [signed_zero, computational_povm(3)]
+    povms += [random_povm(d, int(rng.integers(1, 5)), seed=[23, d]) for d in range(1, 7)]
+    for p in povms:
+        expected = {"dim": p.dim, "labels": list(p.labels),
+                    "effects": [_pairs(e.matrix) for e in p.effects]}
+        assert dump_json(povm_to_obj(p)) == dump_json(expected)
+        s = StochasticMatrix(n_in=p.dim, n_out=p.n_outcomes,
+                             entries=np.array([[e.matrix[i, i].real for i in range(p.dim)]
+                                               for e in p.effects]))
+        expected = {"n_in": s.n_in, "n_out": s.n_out,
+                    "entries": [[float(v) for v in row] for row in s.entries]}
+        assert dump_json(stochastic_to_obj(s)) == dump_json(expected)
+    for d_in, d_out, k in ((1, 2, 1), (2, 2, 3), (3, 2, 2), (4, 5, 1)):
+        g = rng.standard_normal((k * d_out, d_in)) + 1j * rng.standard_normal((k * d_out, d_in))
+        phi = QuantumChannel(d_in, d_out, tuple(np.linalg.qr(g)[0].reshape(k, d_out, d_in)))
+        expected = {"dim_in": d_in, "dim_out": d_out, "kraus": [_pairs(m) for m in phi.kraus]}
+        assert dump_json(channel_to_obj(phi)) == dump_json(expected)
+    for d in range(1, 6):
+        sic = build_sic(d)
+        fiducials = [[[float(z.real), float(z.imag)] for z in v] for v in sic.fiducial_states]
+        assert dump_json(sic_to_obj(sic)["fiducials"]) == dump_json(fiducials)
 
 
 def test_save_and_load(tmp_path):

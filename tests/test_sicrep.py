@@ -427,7 +427,7 @@ def test_discover_verdicts_are_pinned():
         result = discover_system(_contradictory_table(), 2, restarts=5, seed=s)
         assert (result.feasible, result.verdict, result.restarts_used) == (False, "ruled_out", 0)
         assert result.residual == np.inf and result.certificate["bound"] == "fidelity"
-        searched = _search(_contradictory_table(), 2, 500, 1e-6, 5, s)
+        searched = _search(_contradictory_table().as_arrays(), 2, 500, 1e-6, 5, s)
         assert (searched.feasible, searched.verdict, searched.restarts_used) == (
             False, "not_found", 5)
         # The best repaired model misses by (2 - sqrt 2) / 4 on every run.
@@ -475,7 +475,7 @@ def test_batched_restarts_answer_with_the_lowest_success(case):
     before = discover_system(table, d, max_iters=max_iters, restarts=used - 1, seed=trial)
     assert (before.feasible, before.restarts_used) == (False, used - 1)
     # ... and a later one would also fit.
-    later = _restart_batch(table, opalg.hermitian_basis(d), range(used, restarts),
+    later = _restart_batch(table.as_arrays(), opalg.hermitian_basis(d), range(used, restarts),
                            max_iters, 1e-6, trial)
     assert any(found is not None and found[0] <= 1e-6 for _, found in later)
 
@@ -492,8 +492,8 @@ def _mixed_count_table():
 @pytest.mark.parametrize("make_table", [_contradictory_table, _mixed_count_table])
 def test_each_restart_in_a_batch_runs_as_it_would_alone(make_table):
     table, basis = make_table(), opalg.hermitian_basis(2)
-    together = list(_restart_batch(table, basis, range(1, 5), 60, 1e-6, 3))
-    alone = [next(_restart_batch(table, basis, range(r, r + 1), 60, 1e-6, 3))
+    together = list(_restart_batch(table.as_arrays(), basis, range(1, 5), 60, 1e-6, 3))
+    alone = [next(_restart_batch(table.as_arrays(), basis, range(r, r + 1), 60, 1e-6, 3))
              for r in range(1, 5)]
     assert [r for r, _ in together] == [r for r, _ in alone] == [1, 2, 3, 4]
     for (_, a), (_, b) in zip(together, alone):
@@ -568,6 +568,60 @@ def test_a_failed_early_polish_changes_nothing(monkeypatch):
     assert sicrep._EARLY_NFEV == 30 and 0 < evaluations[0] <= 30
 
 
+def _random_hidden_table(key):
+    # d 2..4, 2..5 preparations, 2..3 measurements, each projective or a
+    # random POVM of 2..d+1 outcomes; states all pure or all mixed.
+    rng = np.random.default_rng(key)
+    d, n_prep, n_meas = int(rng.integers(2, 5)), int(rng.integers(2, 6)), int(rng.integers(2, 4))
+    g = rng.standard_normal((n_prep, d, d)) + 1j * rng.standard_normal((n_prep, d, d))
+    if rng.random() < 0.5:
+        g = g[:, :, :1]
+    rhos = g @ g.conj().swapaxes(1, 2)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    rows = []
+    for _ in range(n_meas):
+        if rng.random() < 0.5:
+            u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            effects = np.einsum("ik,jk->kij", u, u.conj())
+        else:
+            n = int(rng.integers(2, d + 2))
+            h = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            blocks = h @ h.conj().swapaxes(1, 2)
+            w, v = np.linalg.eigh(blocks.sum(axis=0))
+            t = (v / np.sqrt(w)) @ v.conj().T
+            effects = t @ blocks @ t
+            effects = (effects + effects.conj().swapaxes(1, 2)) / 2
+        q = np.clip(np.einsum("mij,xji->mx", rhos, effects).real, 0, None)
+        q /= q.sum(axis=1, keepdims=True)
+        labels = tuple(str(j) for j in range(q.shape[1]))
+        rows.append(tuple(OutcomeDistribution(labels, p) for p in q))
+    return d, ProbabilityTable(n_preparations=n_prep,
+                               measurement_labels=tuple(f"M{k}" for k in range(n_meas)),
+                               distributions=tuple(rows))
+
+
+# key -> (max_iters, verdict, restarts_used, residual), as recorded when each
+# restart was still decided in three places: a raw repair every 5th iteration,
+# the early polish and a polish after the loop. [22, 1, 1] and [22, 1, 82] are
+# found by a batch slot's full polish where its descent stops, [22, 1, 116] by
+# a batch slot's early polish, and [22, 1, 93] by no restart.
+_DECISION_PINS = {
+    (22, 1, 1): (8, "found", 19, 1.0240914904285914e-08),
+    (22, 1, 82): (8, "found", 3, 1.4867113179439784e-07),
+    (22, 1, 93): (8, "not_found", 20, 0.011951116991352873),
+    (22, 1, 116): (8, "found", 2, 3.345308114965917e-07),
+    (22, 0, 267): (500, "found", 2, 4.805183535239177e-07),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_DECISION_PINS))
+def test_restart_decisions_are_pinned(key):
+    max_iters, *pinned = _DECISION_PINS[key]
+    d, table = _random_hidden_table(list(key))
+    result = discover_system(table, d, max_iters=max_iters)
+    assert [result.verdict, result.restarts_used, result.residual] == pinned
+
+
 def _polish_start(monkeypatch):
     # The arguments of the one polish a hidden qutrit table reaches at the
     # discovery defaults, up to tol: the early, budgeted one, which fits.
@@ -620,7 +674,7 @@ def test_a_polish_ending_just_under_tol_still_fits_after_repair(monkeypatch):
     assert len(tols) >= 3
     for tol in tols:
         out = sicrep._polish_model(d, states, effect_sets, q_arrays, tol)
-        assert _repair_model(table, d, *out)[0] <= tol
+        assert _repair_model(table.as_arrays(), d, *out)[0] <= tol
 
 
 def test_polish_with_a_tiny_tol_still_converges(monkeypatch):
@@ -701,7 +755,7 @@ def test_discovery_loop_skips_validation(monkeypatch):
         method = getattr(opalg.HermitianBasis, name)
         monkeypatch.setattr(opalg.HermitianBasis, name, counted(method, "checked"))
     restarts = 5
-    result = _search(_contradictory_table(), 2, 500, 1e-6, restarts, 0)
+    result = _search(_contradictory_table().as_arrays(), 2, 500, 1e-6, restarts, 0)
     assert (result.feasible, result.restarts_used) == (False, restarts)
     bound = 8 * restarts
     assert calls["checked"] <= bound
@@ -718,8 +772,8 @@ def test_repair_rejects_a_vanishing_effect_set():
     states = [basis_state(2, 0), basis_state(2, 1)]
     table = ProbabilityTable.from_model(states, [computational_povm(2)])
     stack = np.array([rho.matrix for rho in states])
-    assert _repair_model(table, 2, stack, [np.zeros((2, 2, 2), dtype=complex)]) is None
-    assert _repair_model(table, 2, stack, [computational_povm(2).matrices()])[0] < 1e-12
+    assert _repair_model(table.as_arrays(), 2, stack, [np.zeros((2, 2, 2), dtype=complex)]) is None
+    assert _repair_model(table.as_arrays(), 2, stack, [computational_povm(2).matrices()])[0] < 1e-12
 
 
 # --------------------------------------------------- dimension certificates
