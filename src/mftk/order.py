@@ -33,7 +33,7 @@ from .measure import (
     StochasticMatrix,
     born_probabilities,
 )
-from .opalg import CHECK_ATOL, DECISION_ATOL
+from .opalg import CHECK_ATOL, DECISION_ATOL, ROUNDOFF_ATOL
 
 
 def linprog(*args, **kwargs):
@@ -44,10 +44,20 @@ def linprog(*args, **kwargs):
 
 
 def bayes_update(prior_h: float, prior_e: float, likelihood_e_given_h: float) -> float:
-    """Posterior of a hypothesis after conditioning on observed evidence."""
+    """Posterior P(H|E) = P(E|H) P(H) / P(E) of a hypothesis after conditioning
+    on observed evidence. Each argument must be a probability, and the
+    beliefs coherent: P(E|H) P(H) = P(H and E) at most P(E), within
+    ``ROUNDOFF_ATOL``; otherwise ``ValueError``."""
+    given = {"prior_h": prior_h, "prior_e": prior_e, "likelihood_e_given_h": likelihood_e_given_h}
+    outside = ", ".join(f"{k}={v!r}" for k, v in given.items() if not 0.0 <= v <= 1.0)
+    if outside:
+        raise ValueError(f"probabilities must be finite and in [0, 1]: {outside}")
     if prior_e <= 0:
         raise ValueError("evidence has zero prior probability; cannot condition on it")
-    return likelihood_e_given_h * prior_h / prior_e
+    joint = likelihood_e_given_h * prior_h
+    if joint > prior_e + ROUNDOFF_ATOL:
+        raise ValueError(f"incoherent beliefs: P(E|H) P(H) = {joint!r} exceeds P(E) = {prior_e!r}")
+    return joint / prior_e
 
 
 @dataclass(frozen=True)
@@ -58,12 +68,21 @@ class GeqResult:
     ``residual`` its entrywise gap. ``certificate`` is the game behind a
     negative answer settled without the LP (read-only W_x, shape
     (n_x, d, d)), with ``residual`` the entrywise miss it proves; or None.
+    ``verdict`` says which of the two was shown, or that neither was.
     """
 
     holds: bool
     witness: StochasticMatrix | None
     residual: float
     certificate: np.ndarray | None = None
+
+    @property
+    def verdict(self) -> str:
+        """One of "holds", "ruled_out" (a game proves it) and "undecided"
+        (the LP fallback's negative, which carries no proof)."""
+        if self.holds:
+            return "holds"
+        return "undecided" if self.certificate is None else "ruled_out"
 
 
 def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
@@ -82,11 +101,10 @@ def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
     587 (1994)). After 10 steps per variable, which a singular A^T A can
     cause, it starts again on A^T A + 10 eps Tr(A^T A) I.
     Whatever the solve returns, the answer rests only on a check made
-    afterwards in matrix space, from the effects as given:
+    afterwards in matrix space, from the effects as given. The game is
+    tried first, and the witness only when the game does not settle the
+    pair:
 
-    - **holds** when lambda, clipped at zero and column-normalized, is a
-      witness whose entrywise gap max |sum_z lambda(x|z) Z_z - X_x| is
-      at most ``tol``. ``residual`` is that gap.
     - **does not hold** when the residual r = b - A lambda proves it. Its
       basis part gives Hermitian test operators W_x, a game scored
       Tr(W_x E) for reporting x on effect E. For column-stochastic mu and
@@ -98,6 +116,14 @@ def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
       which is ``residual``; the answer is "does not hold" when it
       exceeds ``tol``, and ``certificate`` holds the W_x. At an exact
       optimum m >= |r|^2, because A^T r <= 0 there and b^T r = |r|^2.
+    - **holds** when lambda, column-normalized, is a witness whose
+      entrywise gap max |sum_z lambda(x|z) Z_z - X_x| is at most ``tol``.
+      ``residual`` is that gap. The witness is column-stochastic, so a
+      game that proves a miss above ``tol`` proves that this witness
+      misses by more than ``tol`` too: in exact arithmetic the two proofs
+      exclude each other, so the order in which they are tried cannot
+      change an answer. A negative only skips building a witness that
+      would fail.
     - **otherwise** (a pair within a few ``tol`` of the boundary, a
       ``tol`` so large that the least-squares witness misses it while
       another would not, or a solve that gives up) a linear program
@@ -121,10 +147,10 @@ def povm_geq(z: Povm, x: Povm, tol: float = DECISION_ATOL) -> GeqResult:
 
 def _nnls_geq(z: Povm, x: Povm, tol: float) -> GeqResult | None:
     """``povm_geq``'s answer from non-negative least squares, or None when
-    neither the witness nor the game it yields settles the pair."""
+    neither the game nor the witness it yields settles the pair."""
     basis = opalg.hermitian_basis(z.dim)
     zm, xm = z.matrices(), x.matrices()
-    z_coords, x_coords = basis.coords(zm), basis.coords(xm)  # (nz, D), (nx, D)
+    z_coords, x_coords = basis._coords(zm), basis._coords(xm)  # (nz, D), (nx, D)
     nz, nx = len(z_coords), len(x_coords)
     gram = np.zeros((nx, nz, nx, nz))  # I (x) C C^T + 1 1^T (x) I, block by block
     gram[np.arange(nx), :, np.arange(nx), :] = z_coords @ z_coords.T
@@ -136,13 +162,7 @@ def _nnls_geq(z: Povm, x: Povm, tol: float) -> GeqResult | None:
     if lam is None:
         return None
     lam = lam.reshape(nx, nz)
-    totals = lam.sum(axis=0)
-    if np.all(totals > 0):
-        witness = StochasticMatrix(n_in=nz, n_out=nx, entries=lam / totals)
-        gap = _witness_gap(witness, zm, xm)
-        if gap <= tol:
-            return GeqResult(holds=True, witness=witness, residual=gap)
-    games = basis.matrix(x_coords - lam @ z_coords)  # W_x, from the residual's basis part
+    games = basis._matrix(x_coords - lam @ z_coords)  # W_x, from the residual's basis part
     margin = (np.einsum("xij,xji->", games, xm).real
               - np.einsum("xij,zji->xz", games, zm).real.max(axis=0).sum())
     scale = np.abs(games).sum()  # the dual of the entrywise max norm
@@ -150,6 +170,12 @@ def _nnls_geq(z: Povm, x: Povm, tol: float) -> GeqResult | None:
         games.setflags(write=False)
         return GeqResult(holds=False, witness=None, residual=float(margin / scale),
                          certificate=games)
+    totals = lam.sum(axis=0)
+    if np.all(totals > 0):
+        witness = StochasticMatrix(n_in=nz, n_out=nx, entries=lam / totals)
+        gap = _witness_gap(witness, zm, xm)
+        if gap <= tol:
+            return GeqResult(holds=True, witness=witness, residual=gap)
     return None
 
 
@@ -159,17 +185,20 @@ def _nnls_gram(gram: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     one-variable backup rule of Judice & Pires (1994) after 3 steps that
     do not shrink the infeasible count; see ``povm_geq``. Each passive
     block is solved on the sorted passive indices, by least squares when
-    singular; other entries are exactly zero. None after 10n steps, or
-    as soon as a passive set repeats under the backup rule: that rule maps
-    each passive set to the next one, so a repeat is a cycle."""
+    singular; other entries are exactly zero. The first step is known: at
+    lambda = 0 every variable is a zero with gradient h, so the infeasible
+    set is h > floor; each later one is found after the solve before it.
+    None after 10n steps, or as soon as a passive set repeats under the
+    backup rule: that rule maps each passive set to the next one, so a
+    repeat is a cycle."""
     n = len(h)
     lam = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     floor = 10 * n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(h))))
     fewest, grace = n + 1, 3
     seen = set()  # passive sets visited since the backup rule last took over
+    infeasible = h > floor
     for _ in range(10 * n):
-        infeasible = np.where(passive, lam <= 0, h - gram @ lam > floor)
         count = np.count_nonzero(infeasible)
         if not count:
             return lam
@@ -189,6 +218,7 @@ def _nnls_gram(gram: np.ndarray, h: np.ndarray) -> np.ndarray | None:
             lam[idx] = np.linalg.solve(gram[idx[:, None], idx], h[idx])
         except np.linalg.LinAlgError:  # z's effects are linearly dependent
             lam[idx] = np.linalg.lstsq(gram[idx[:, None], idx], h[idx])[0]
+        infeasible = np.where(passive, lam <= 0, h - gram @ lam > floor)
     return None
 
 

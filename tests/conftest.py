@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mftk import OutcomeDistribution, Povm, ProbabilityTable, save_json, table_to_obj
+from mftk import OutcomeDistribution, Povm, ProbabilityTable, random_povm, save_json, table_to_obj
 
 
 @pytest.fixture
@@ -25,6 +25,40 @@ def tilted_basis():
         effects[0, 0, 1] = effects[0, 1, 0] = eps
         effects[1, 0, 1] = effects[1, 1, 0] = -eps
         return Povm.from_matrices(d, effects)
+
+    return make
+
+
+@pytest.fixture
+def near_boundary_pairs():
+    """Factory: the first ``count`` (z, x) pairs of the seed-19 corpus of
+    pairs near the order's boundary, in its draw order.
+
+    Each x post-processes a random z by a random column-stochastic mu and
+    then tilts its first two effects by +-eps h, with h a traceless
+    Hermitian matrix of entrywise max 1 and eps 0.3e-8 to 4e-8. These
+    pairs sit within a few ``DECISION_ATOL`` of the boundary, where
+    ``povm_geq`` may hand them to its LP fallback (trial 11 goes there).
+    """
+
+    def make(count: int) -> list[tuple[Povm, Povm]]:
+        rng = np.random.default_rng(19)
+        pairs = []
+        for _ in range(count):
+            d, n, nx = (int(rng.integers(2, 5)) for _ in range(3))
+            z = random_povm(d, n, seed=int(rng.integers(1 << 30)))
+            mu = rng.random((nx, n))
+            mu /= mu.sum(0)
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = h + h.conj().T
+            h -= np.trace(h) / d * np.eye(d)
+            h /= np.abs(h).max()
+            eps = rng.uniform(0.3, 4) * 1e-8
+            x = np.einsum("xz,zij->xij", mu, z.matrices())
+            x[0] += eps * h
+            x[1] -= eps * h
+            pairs.append((z, Povm.from_matrices(d, x)))
+        return pairs
 
     return make
 

@@ -419,6 +419,111 @@ def test_povm_geq_lp_matches_row_by_row_build(monkeypatch, tilted_basis):
         assert np.array_equal(got["A_eq"], a_eq)
 
 
+# ------------------------------------------------------------- order NNLS
+
+def _nnls_gram_reference(gram, h):
+    n = len(h)
+    lam = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    floor = 10 * n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(h))))
+    fewest, grace = n + 1, 3
+    seen = set()
+    for _ in range(10 * n):
+        infeasible = np.where(passive, lam <= 0, h - gram @ lam > floor)
+        count = np.count_nonzero(infeasible)
+        if not count:
+            return lam
+        fewest, grace = (count, 3) if count < fewest else (fewest, grace - 1)
+        if grace >= 0:
+            seen.clear()
+        else:
+            infeasible[:np.flatnonzero(infeasible)[-1]] = False
+            key = (passive ^ infeasible).tobytes()
+            if key in seen:
+                return None
+            seen.add(key)
+        passive ^= infeasible
+        idx = np.flatnonzero(passive)
+        lam = np.zeros(n)
+        try:
+            lam[idx] = np.linalg.solve(gram[idx[:, None], idx], h[idx])
+        except np.linalg.LinAlgError:
+            lam[idx] = np.linalg.lstsq(gram[idx[:, None], idx], h[idx])[0]
+    return None
+
+
+def _nnls_geq_reference(z, x, tol):
+    """The NNLS decision with the witness tried before the game, each
+    coordinate map checked, and the pivoting's first step found by the
+    generic feasibility check at lambda = 0."""
+    basis = hermitian_basis(z.dim)
+    zm, xm = z.matrices(), x.matrices()
+    z_coords, x_coords = basis.coords(zm), basis.coords(xm)
+    nz, nx = len(z_coords), len(x_coords)
+    gram = np.zeros((nx, nz, nx, nz))
+    gram[np.arange(nx), :, np.arange(nx), :] = z_coords @ z_coords.T
+    gram[:, np.arange(nz), :, np.arange(nz)] += 1.0
+    gram, h = gram.reshape(nx * nz, -1), (x_coords @ z_coords.T + 1.0).reshape(-1)
+    lam = _nnls_gram_reference(gram, h)
+    if lam is None:
+        lam = _nnls_gram_reference(
+            gram + 10 * np.finfo(float).eps * np.trace(gram) * np.eye(len(h)), h)
+    if lam is None:
+        return None
+    lam = lam.reshape(nx, nz)
+    totals = lam.sum(axis=0)
+    if np.all(totals > 0):
+        witness = StochasticMatrix(n_in=nz, n_out=nx, entries=lam / totals)
+        gap = float(np.max(np.abs(np.einsum("xz,zij->xij", witness.entries, zm) - xm)))
+        if gap <= tol:
+            return True, gap, witness.entries, None
+    games = basis.matrix(x_coords - lam @ z_coords)
+    margin = (np.einsum("xij,xji->", games, xm).real
+              - np.einsum("xij,zji->xz", games, zm).real.max(axis=0).sum())
+    scale = np.abs(games).sum()
+    if margin > tol * scale:
+        return False, float(margin / scale), None, games
+    return None
+
+
+def test_nnls_geq_matches_the_witness_first_reference(near_boundary_pairs):
+    # The game is tried before the witness, on unchecked coordinate maps,
+    # and the pivoting starts from its known first step; on random pairs,
+    # post-processed copies, SIC pairs and pairs at the boundary (some of
+    # which neither proof settles) every output is the reference's, bit for
+    # bit. The LP is not run.
+    rng = np.random.default_rng(80)
+    pairs = []
+    for d in (2, 3, 4):
+        sic = build_sic(d).povm
+        for n in range(2, d * d + 2):
+            z = random_povm(d, n, seed=[81, d, n])
+            x = random_povm(d, int(rng.integers(2, d * d + 2)), seed=[82, d, n])
+            raw = rng.uniform(size=(int(rng.integers(1, n + 1)), n))
+            copy = post_process(z, StochasticMatrix(n, len(raw), raw / raw.sum(axis=0)))
+            pairs += [(z, x), (x, z), (z, copy), (copy, z), (sic, z), (z, sic)]
+    for z, x in near_boundary_pairs(100):
+        pairs += [(z, x), (x, z)]
+    outcomes = {"holds": 0, "ruled_out": 0, None: 0}
+    for z, x in pairs:
+        got, expected = mftk.order._nnls_geq(z, x, DECISION_ATOL), _nnls_geq_reference(
+            z, x, DECISION_ATOL)
+        if expected is None:
+            assert got is None
+            outcomes[None] += 1
+            continue
+        holds, residual, witness, game = expected
+        assert (got.holds, got.residual) == (holds, residual)
+        if holds:
+            assert got.witness.entries.tobytes() == witness.tobytes()
+            assert got.certificate is None
+        else:
+            assert got.witness is None
+            assert got.certificate.tobytes() == game.tobytes()
+        outcomes[got.verdict] += 1
+    assert min(outcomes.values()) >= 10
+
+
 # ------------------------------------------------------------ random draws
 
 def test_random_draws_match_the_per_matrix_loop():

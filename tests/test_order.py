@@ -51,6 +51,29 @@ def test_bayes_update_examples():
         bayes_update(0.5, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("args, named", [
+    ((-1.0, 0.5, 0.5), "prior_h=-1.0"),
+    ((0.5, 1.5, 0.5), "prior_e=1.5"),
+    ((0.5, 0.5, float("nan")), "likelihood_e_given_h=nan"),
+    ((float("inf"), 0.5, 0.5), "prior_h=inf"),
+])
+def test_bayes_update_rejects_a_value_that_is_not_a_probability(args, named):
+    with pytest.raises(ValueError, match=f"must be finite and in \\[0, 1\\]: {named}"):
+        bayes_update(*args)
+
+
+def test_bayes_update_rejects_evidence_less_likely_than_its_overlap_with_the_hypothesis():
+    # P(E|H) P(H) is the probability of H and E together, which P(E) bounds:
+    # P(H) = 0.9 and P(E|H) = 0.5 put it at 0.45, so P(E) = 0.1 is incoherent,
+    # and the quotient would be a "posterior" of 4.5.
+    with pytest.raises(ValueError, match="incoherent beliefs"):
+        bayes_update(0.9, 0.1, 0.5)
+    assert bayes_update(0.5, 0.25, 0.5) == 1.0  # at the bound, H is certain given E
+    assert bayes_update(0.5, 0.25 - 1e-11, 0.5) == pytest.approx(1.0)  # within round-off
+    with pytest.raises(ValueError, match="zero prior probability"):
+        bayes_update(0.0, 0.0, 0.5)
+
+
 # ------------------------------------------------------------------- order
 
 def test_geq_merge_and_trivial_targets():
@@ -334,6 +357,47 @@ def test_the_game_proves_a_tilt_just_above_tol_without_the_lp(monkeypatch, tilte
     assert not result.holds and result.certificate is not None
     assert abs(result.residual - 1.5e-8) <= 1e-20
     _check_certificate(result, z, x)
+
+
+def test_a_negative_settled_by_the_game_builds_no_witness(monkeypatch):
+    # The game is tried first: a pair it rules out builds no stochastic
+    # matrix and measures no witness gap, while a holding pair does each once.
+    gaps, built = [], []
+    witness_gap, stochastic = mftk.order._witness_gap, mftk.order.StochasticMatrix
+
+    def counting_gap(*args):
+        gaps.append(args)
+        return witness_gap(*args)
+
+    def counting_stochastic(**kwargs):
+        built.append(kwargs)
+        return stochastic(**kwargs)
+
+    monkeypatch.setattr(mftk.order, "_witness_gap", counting_gap)
+    monkeypatch.setattr(mftk.order, "StochasticMatrix", counting_stochastic)
+    result = povm_geq(computational_povm(2), xbasis_povm())
+    assert (result.verdict, gaps, built) == ("ruled_out", [], [])
+    assert abs(result.residual - 0.5) <= 1e-15
+    z = random_povm(3, 4, seed=83)
+    copy = post_process(z, _random_stochastic(4, 2, np.random.default_rng(84)))
+    result = povm_geq(z, copy)
+    assert result.verdict == "holds" and len(gaps) == len(built) == 1
+
+
+def test_each_verdict_says_what_was_shown(near_boundary_pairs):
+    z = random_povm(2, 3, seed=85)
+    copy = post_process(z, _random_stochastic(3, 2, np.random.default_rng(86)))
+    holding = povm_geq(z, copy)
+    assert holding.verdict == "holds" and holding.witness is not None
+    ruled_out = povm_geq(computational_povm(2), xbasis_povm())
+    assert ruled_out.verdict == "ruled_out" and ruled_out.certificate is not None
+    # Trial 11 of the boundary corpus (d = 2, eps = 2.746e-8) goes to the
+    # LP, whose "does not hold" carries no proof.
+    z, x = near_boundary_pairs(12)[11]
+    assert mftk.order._nnls_geq(z, x, 1e-8) is None
+    undecided = povm_geq(z, x)
+    assert not undecided.holds and undecided.certificate is None
+    assert undecided.verdict == "undecided"
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
