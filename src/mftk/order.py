@@ -47,7 +47,8 @@ def bayes_update(prior_h: float, prior_e: float, likelihood_e_given_h: float) ->
     """Posterior P(H|E) = P(E|H) P(H) / P(E) of a hypothesis after conditioning
     on observed evidence. Each argument must be a probability, and the
     beliefs coherent: P(E|H) P(H) = P(H and E) at most P(E), within
-    ``ROUNDOFF_ATOL``; otherwise ``ValueError``."""
+    ``ROUNDOFF_ATOL``; otherwise ``ValueError``. The quotient is clipped at
+    1, so beliefs incoherent within that round-off still give a probability."""
     given = {"prior_h": prior_h, "prior_e": prior_e, "likelihood_e_given_h": likelihood_e_given_h}
     outside = ", ".join(f"{k}={v!r}" for k, v in given.items() if not 0.0 <= v <= 1.0)
     if outside:
@@ -57,7 +58,7 @@ def bayes_update(prior_h: float, prior_e: float, likelihood_e_given_h: float) ->
     joint = likelihood_e_given_h * prior_h
     if joint > prior_e + ROUNDOFF_ATOL:
         raise ValueError(f"incoherent beliefs: P(E|H) P(H) = {joint!r} exceeds P(E) = {prior_e!r}")
-    return joint / prior_e
+    return min(joint / prior_e, 1.0)
 
 
 @dataclass(frozen=True)

@@ -540,7 +540,9 @@ def _polish_model(d, states, effect_sets, q_arrays, tol, max_nfev=3000):
     return opalg.hermitize(out_states), [effects for *_, effects in measurements]
 
 
-_EARLY_NFEV = 30  # early-polish evaluations: fits took at most 28 on random tables
+# Early-polish budget: from restart 1's first iterate, fits took at most 26
+# evaluations on 450 random tables and 10 on the benchmark pools (BENCH_26.json).
+_EARLY_NFEV = 30
 
 
 def _restart_batch(q_arrays, basis, restarts, max_iters, tol, seed):
@@ -555,13 +557,18 @@ def _restart_batch(q_arrays, basis, restarts, max_iters, tol, seed):
     leaves the batch where a run of its own would have stopped.
 
     A slot is decided, in one step, at two moments of its loop:
-    - at its first iterate within ``handover_radius`` of the table, if it
-      stays in the loop: its model is polished on a copy for at most
-      ``_EARLY_NFEV`` evaluations and repaired; a miss leaves the slot as
-      it was;
+    - early, if it stays in the loop: its model is polished on a copy for
+      at most ``_EARLY_NFEV`` evaluations and repaired; a miss leaves the
+      slot as it was. Restart 0, which ``_search`` runs alone, is polished
+      at its first iterate, however far off; every other restart at its
+      first iterate within ``handover_radius`` of the table, since the
+      batch runs only after restart 0 has failed, on tables where such
+      attempts mostly miss. With ``max_iters`` 1 no slot stays, so none
+      is polished early;
     - in the iteration it leaves (hand-over, stall or the last iteration):
       its model is polished without that budget if within
-      ``handover_radius``, and repaired.
+      ``handover_radius``, and repaired. An iterate that leaves is not
+      polished from farther off, where the polish need not converge.
     A fit ends every later slot too. Yields (restart, repaired model or
     None) in restart order, ending at the first that fits within ``tol``.
     """
@@ -637,11 +644,11 @@ def _restart_batch(q_arrays, basis, restarts, max_iters, tol, seed):
         handover = (worst < handover_radius) & (it >= 25)  # to the full polish below
         stall = np.where(prev_obj - obj < 1e-14 + 1e-9 * obj, stall + 1, 0)
         stays = ~handover & (stall < 10) & (it + 1 < max_iters)
-        early = live & ~tried & (worst < handover_radius) & stays
+        early = live & ~tried & stays & ((worst < handover_radius) | (np.asarray(restarts) == 0))
         tried |= early
         for i in np.flatnonzero(early | (live & ~stays)):
             model = model_at(i)
-            if worst[i] < handover_radius:
+            if early[i] or worst[i] < handover_radius:
                 budget = (_EARLY_NFEV,) if early[i] else ()
                 model = _polish_model(d, *model, q_arrays, tol, *budget)
             found = _repair_model(q_arrays, d, *model)
@@ -748,14 +755,15 @@ def discover_system(
     effects by PSD clipping followed by spreading the completeness excess
     evenly. A restart is decided at two moments, each by a polish with
     ``_polish_model`` (a Levenberg-Marquardt run that stops at the first
-    iterate within ``tol``) and a repair: at its first iterate within 1e-2
-    of the table, with the polish capped at 30 evaluations, where a miss
-    leaves the descent unchanged; and at the iterate where the descent
-    stops, with a full polish if within 1e-2. Restart 1 runs alone; if it
-    fails, restarts 2..``restarts`` run as one batch (``_restart_batch``),
-    and the answer is still the lowest-numbered restart that succeeds, so
-    ``restarts_used`` and the best residual mean what a one-by-one run
-    would give.
+    iterate within ``tol``) and a repair: early, with the polish capped at
+    30 evaluations, where a miss leaves the descent unchanged (restart 1
+    at its first iterate, each later restart at its first iterate within
+    1e-2 of the table, and none when ``max_iters`` is 1); and at the
+    iterate where the descent stops, with a full polish if within 1e-2.
+    Restart 1 runs alone; if it fails, restarts 2..``restarts`` run as one
+    batch (``_restart_batch``), and the answer is still the lowest-numbered
+    restart that succeeds, so ``restarts_used`` and the best residual mean
+    what a one-by-one run would give.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")

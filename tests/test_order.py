@@ -74,6 +74,14 @@ def test_bayes_update_rejects_evidence_less_likely_than_its_overlap_with_the_hyp
         bayes_update(0.0, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("args", [(0.5, 0.25 - 1e-11, 0.5), (1.0, 1 - 5e-11, 1.0)])
+def test_bayes_update_within_round_off_of_incoherent_returns_exactly_one(args):
+    # The unclipped quotients are 1.00000000004 and 1.00000000005.
+    joint = args[2] * args[0]
+    assert joint / args[1] > 1.0
+    assert bayes_update(*args) == 1.0
+
+
 # ------------------------------------------------------------------- order
 
 def test_geq_merge_and_trivial_targets():

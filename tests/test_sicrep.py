@@ -450,13 +450,14 @@ def _contradictory_table():
     )
 
 
-# (d, n_prep, trial, max_iters, restarts) -> (restarts_used, residual).
-# restarts_used was recorded when restarts ran one after another; the
-# residuals are those of the Levenberg-Marquardt polish, which stops at the
-# first iterate within tol. Run alone, restart by restart, the first table
-# fits at restarts 2, 4 and 5 of 5 and the second at restarts 4 and 5 of 6,
-# so each has a failure before its first success and a later success that
-# must not win.
+# (d, n_prep, trial, max_iters, restarts) -> (restarts_used, residual) of
+# the batch of restarts 2..restarts. restarts_used was recorded when restarts
+# ran one after another; the residuals are those of the Levenberg-Marquardt
+# polish, which stops at the first iterate within tol. Run alone, restart by
+# restart, the batch of the first table fits at restarts 2, 4 and 5 of 5 and
+# that of the second at restarts 4 and 5 of 6, so each has a later success
+# that must not win, and the second a failure before its first success.
+# Restart 1, polished at its first iterate, fits both tables on its own.
 _BATCH_ORDER_PINS = {
     (3, 4, 7, 8, 5): (2, 1.7757473130819434e-09),
     (2, 3, 2, 3, 6): (4, 9.109583920530184e-09),
@@ -468,16 +469,19 @@ def test_batched_restarts_answer_with_the_lowest_success(case):
     d, n_prep, trial, max_iters, restarts = case
     used, residual = _BATCH_ORDER_PINS[case]
     table = _hidden_model_table(d, n_prep, trial)
-    result = discover_system(table, d, max_iters=max_iters, restarts=restarts, seed=trial)
-    assert (result.feasible, result.restarts_used, result.residual) == (True, used, residual)
-    assert result.residual <= 1e-6
-    # Every restart before the winner fails ...
-    before = discover_system(table, d, max_iters=max_iters, restarts=used - 1, seed=trial)
-    assert (before.feasible, before.restarts_used) == (False, used - 1)
+    basis = opalg.hermitian_basis(d)
+    batch = list(_restart_batch(table.as_arrays(), basis, range(1, restarts), max_iters, 1e-6,
+                                trial))
+    # The batch yields its restarts in order and ends at the winner ...
+    assert [r for r, _ in batch] == list(range(1, used))
+    assert batch[-1][1][0] == residual and residual <= 1e-6
+    # ... every restart before it fails ...
+    assert all(found is None or found[0] > 1e-6 for _, found in batch[:-1])
     # ... and a later one would also fit.
-    later = _restart_batch(table.as_arrays(), opalg.hermitian_basis(d), range(used, restarts),
-                           max_iters, 1e-6, trial)
+    later = _restart_batch(table.as_arrays(), basis, range(used, restarts), max_iters, 1e-6, trial)
     assert any(found is not None and found[0] <= 1e-6 for _, found in later)
+    result = discover_system(table, d, max_iters=max_iters, restarts=restarts, seed=trial)
+    assert (result.verdict, result.restarts_used) == ("found", 1)
 
 
 def _mixed_count_table():
@@ -568,6 +572,68 @@ def test_a_failed_early_polish_changes_nothing(monkeypatch):
     assert sicrep._EARLY_NFEV == 30 and 0 < evaluations[0] <= 30
 
 
+def _polish_calls(monkeypatch):
+    # Per _polish_model call: its budget, the worst table miss of the model
+    # it starts from, and how many state projections ran before it.
+    calls, projections = [], [0]
+    polish, project = sicrep._polish_model, sicrep._project_states
+
+    def recording(d, states, effect_sets, q_arrays, tol, *budget):
+        calls.append((budget, _table_miss(d, states, effect_sets, q_arrays), projections[0]))
+        return polish(d, states, effect_sets, q_arrays, tol, *budget)
+
+    def counted(m):
+        projections[0] += 1
+        return project(m)
+
+    monkeypatch.setattr(sicrep, "_polish_model", recording)
+    monkeypatch.setattr(sicrep, "_project_states", counted)
+    return calls, projections
+
+
+def test_restart_one_is_polished_early_at_its_first_iterate(monkeypatch):
+    # Restart 1 takes its budgeted polish after one iteration (two state
+    # projections), from farther than the 1e-2 hand-over radius, and every
+    # hidden table fits there.
+    calls, projections = _polish_calls(monkeypatch)
+    for d, n_prep, trials in ((2, 3, 20), (3, 4, 10)):
+        for trial in range(trials):
+            calls.clear()
+            projections[0] = 0
+            result = discover_system(_hidden_model_table(d, n_prep, trial), d, seed=trial)
+            assert (result.verdict, result.restarts_used) == ("found", 1)
+            [(budget, miss, projected)] = calls
+            assert budget == (sicrep._EARLY_NFEV,) and miss > 1e-2 and projected == 2
+
+
+def test_a_batch_slot_is_polished_early_only_within_the_handover_radius(monkeypatch):
+    # [22, 1, 116] at 8 iterations: the batch of restarts 2..20 makes three
+    # early attempts, each from within 1e-2, and restart 2 fits.
+    d, table = _random_hidden_table([22, 1, 116])
+    calls, _ = _polish_calls(monkeypatch)
+    batch = list(_restart_batch(table.as_arrays(), opalg.hermitian_basis(d), range(1, 20), 8,
+                                1e-6, 0))
+    assert [r for r, _ in batch] == [1] and batch[0][1][0] <= 1e-6
+    assert len(calls) == 3
+    assert all(budget == (sicrep._EARLY_NFEV,) and miss < 1e-2 for budget, miss, _ in calls)
+
+
+def test_a_one_iteration_search_polishes_nothing_early(monkeypatch):
+    # With max_iters 1 restart 1 leaves at its first iterate, so it is
+    # decided as every leaving slot is: polished only within 1e-2, which
+    # these first iterates are not. With one more iteration it stays, takes
+    # its early polish from the same iterate and fits.
+    calls, _ = _polish_calls(monkeypatch)
+    for d, n_prep, trial in ((2, 3, 0), (2, 3, 1), (3, 4, 1)):
+        table = _hidden_model_table(d, n_prep, trial)
+        calls.clear()
+        result = discover_system(table, d, max_iters=1, restarts=1, seed=trial)
+        assert (result.verdict, calls) == ("not_found", [])
+        result = discover_system(table, d, max_iters=2, restarts=1, seed=trial)
+        assert result.verdict == "found"
+        assert [budget for budget, *_ in calls] == [(sicrep._EARLY_NFEV,)]
+
+
 def _random_hidden_table(key):
     # d 2..4, 2..5 preparations, 2..3 measurements, each projective or a
     # random POVM of 2..d+1 outcomes; states all pure or all mixed.
@@ -600,26 +666,40 @@ def _random_hidden_table(key):
                                distributions=tuple(rows))
 
 
-# key -> (max_iters, verdict, restarts_used, residual), as recorded when each
-# restart was still decided in three places: a raw repair every 5th iteration,
-# the early polish and a polish after the loop. [22, 1, 1] and [22, 1, 82] are
-# found by a batch slot's full polish where its descent stops, [22, 1, 116] by
-# a batch slot's early polish, and [22, 1, 93] by no restart.
+# key -> (max_iters, [verdict, restarts_used, residual] of discover_system,
+# the same for the batch of restarts 2..20 alone). Restart 1, polished at its
+# first iterate, fits every table. The batch answers were recorded when each
+# restart was still decided in three places: a raw repair every 5th
+# iteration, the early polish and a polish after the loop. In the batch,
+# [22, 1, 1] and [22, 1, 82] are found by a slot's full polish where its
+# descent stops, [22, 1, 116] and [22, 0, 267] by a slot's early polish, and
+# [22, 1, 93] by no restart.
 _DECISION_PINS = {
-    (22, 1, 1): (8, "found", 19, 1.0240914904285914e-08),
-    (22, 1, 82): (8, "found", 3, 1.4867113179439784e-07),
-    (22, 1, 93): (8, "not_found", 20, 0.011951116991352873),
-    (22, 1, 116): (8, "found", 2, 3.345308114965917e-07),
-    (22, 0, 267): (500, "found", 2, 4.805183535239177e-07),
+    (22, 1, 1): (8, ["found", 1, 2.3244288965829085e-08],
+                 ["found", 19, 1.0240914904285914e-08]),
+    (22, 1, 82): (8, ["found", 1, 7.108494126661924e-09],
+                  ["found", 3, 1.4867113179439784e-07]),
+    (22, 1, 93): (8, ["found", 1, 2.982969198594976e-07],
+                  ["not_found", 20, 0.011951116991352873]),
+    (22, 1, 116): (8, ["found", 1, 8.508501381232492e-08],
+                   ["found", 2, 3.345308114965917e-07]),
+    (22, 0, 267): (500, ["found", 1, 6.964360499406297e-08],
+                   ["found", 2, 4.805183535239177e-07]),
 }
 
 
 @pytest.mark.parametrize("key", sorted(_DECISION_PINS))
 def test_restart_decisions_are_pinned(key):
-    max_iters, *pinned = _DECISION_PINS[key]
+    max_iters, pinned, batch_pinned = _DECISION_PINS[key]
     d, table = _random_hidden_table(list(key))
     result = discover_system(table, d, max_iters=max_iters)
     assert [result.verdict, result.restarts_used, result.residual] == pinned
+    batch = list(_restart_batch(table.as_arrays(), opalg.hermitian_basis(d), range(1, 20),
+                                max_iters, 1e-6, 0))
+    last, found = batch[-1]
+    verdict = "found" if found is not None and found[0] <= 1e-6 else "not_found"
+    best = min(found[0] for _, found in batch if found is not None)
+    assert [verdict, last + 1, best] == batch_pinned
 
 
 def _polish_start(monkeypatch):
